@@ -31,6 +31,13 @@ EpochReclaimer::~EpochReclaimer() {
 void EpochReclaimer::mark_used(Slot& slot) {
   if (!slot.used) {
     slot.used = true;
+    // Room for two batches up front — the thread's in-flight batch plus
+    // one its last sweep could not free yet — so the list's doublings
+    // happen at first use, not in steady state, where the zero-allocation
+    // audit (DESIGN.md §9) would count them.
+    slot.lock.lock();
+    slot.retired.reserve(2 * static_cast<std::size_t>(config_.batch));
+    slot.lock.unlock();
     participants_.fetch_add(1, std::memory_order_acq_rel);
   }
 }

@@ -1,6 +1,7 @@
 #include "db/engine.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "db/btreekv.h"
 #include "db/hashkv.h"
@@ -103,6 +104,10 @@ class MvccKvEngine final : public KvEngine {
   bool erase(std::uint64_t key) override { return kv_.erase(key); }
   std::size_t size() const override { return kv_.size(); }
   bool lock_free_gets() const override { return true; }
+  void bulk_load(std::span<const std::uint64_t> keys,
+                 std::string_view value) override {
+    kv_.bulk_load(keys, value);
+  }
 
  private:
   MvKv kv_;
@@ -159,6 +164,25 @@ const EngineEntry* find_entry(std::string_view name) {
 }
 
 }  // namespace
+
+void KvEngine::bulk_load(std::span<const std::uint64_t> keys,
+                         std::string_view value) {
+  require_bulk_load_contract(name(), size(), keys);
+  for (const std::uint64_t key : keys) put(key, value);
+}
+
+void require_bulk_load_contract(std::string_view engine, std::size_t size,
+                                std::span<const std::uint64_t> keys) {
+  const char* violation = nullptr;
+  if (size != 0) violation = "the engine is not empty";
+  for (std::size_t i = 1; violation == nullptr && i < keys.size(); ++i) {
+    if (keys[i - 1] >= keys[i]) violation = "keys are not strictly ascending";
+  }
+  if (violation == nullptr) return;
+  std::fprintf(stderr, "bulk_load on KV engine '%.*s': %s\n",
+               static_cast<int>(engine.size()), engine.data(), violation);
+  std::abort();
+}
 
 std::vector<std::string> kv_engine_names() {
   std::vector<std::string> names;

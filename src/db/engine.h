@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -115,6 +116,16 @@ class KvEngine {
   virtual std::optional<std::string> get(std::uint64_t key) const = 0;
   virtual bool erase(std::uint64_t key) = 0;
 
+  // Initial load (DESIGN.md §7): stores every key with `value`, leaving the
+  // engine exactly as a put of each key would — but the engine, not the
+  // caller, decides the order and shape its data takes. Contract: the
+  // engine is empty and `keys` is strictly ascending; every override checks
+  // it with require_bulk_load_contract, which aborts with a diagnosis as an
+  // unknown engine name does. The default is the put loop; mvcc builds its
+  // balanced tree directly.
+  virtual void bulk_load(std::span<const std::uint64_t> keys,
+                         std::string_view value);
+
   // Live (non-deleted) keys. May cost a full scan on engines without a
   // cheap counter (the LSM adapter counts a snapshot): an observability
   // call, not a hot-path one.
@@ -127,6 +138,12 @@ class KvEngine {
   // routes on the profile, and tests pin the two together.
   virtual bool lock_free_gets() const { return false; }
 };
+
+// Aborts with a diagnosis naming `engine` unless it is empty (`size` == 0)
+// and `keys` is strictly ascending — the bulk_load precondition, shared by
+// KvEngine and the engines that expose their own bulk load (MvKv).
+void require_bulk_load_contract(std::string_view engine, std::size_t size,
+                                std::span<const std::uint64_t> keys);
 
 // Registered engine names, sorted ("btree", "hash", "lsm", "mvcc").
 std::vector<std::string> kv_engine_names();

@@ -2,9 +2,14 @@
 //
 // Lock pattern (Table 1): a *method lock* serializing whole-store operations
 // (iteration, clear, resize bookkeeping) against per-record operations, plus
-// *slot-level locks* — one per bucket group — protecting the actual chains.
-// A Put/Get epoch therefore takes: method lock (briefly, shared intent) then
-// its slot lock, matching the paper's "Slot-level Lock, Method Lock" row.
+// *slot-level locks* protecting the actual chains. A Put/Get epoch therefore
+// takes: method lock (briefly, shared intent) then its slot lock, matching
+// the paper's "Slot-level Lock, Method Lock" row.
+//
+// Layout: `num_slots` slots, each a lock guarding one linear chain, so a
+// slot holding n keys scans up to n entries under its lock (the service's
+// 16-slot engine keeps 2^15 keys in 2,048-entry chains). Slots are heavy to
+// multiply: each carries an MCS node array of kMaxThreads cache lines.
 //
 // All locks are AslMutex so an application linked with LibASL gets the
 // SLO-guided ordering with no code changes here.

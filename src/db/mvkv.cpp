@@ -1,15 +1,21 @@
 #include "db/mvkv.h"
 
+#include <algorithm>
+#include <utility>
+
+#include "db/engine.h"
 #include "platform/spin.h"
 
 namespace asl::db {
 
-// Immutable BST node. No balancing: steady-state keys in the benchmarks are
-// drawn uniformly at random and the service prefills in median-first order
-// (kv_service.cpp), which together keep depth logarithmic — a sorted insert
-// stream would degenerate into a chain, making every get O(n) and every
-// path copy O(n) pool nodes. The engine's observable behaviour (single
-// writer, lock-free snapshot reads) does not depend on the tree shape. Raw child pointers: lifetime is managed by the
+// Immutable BST node. Writes never rebalance: the initial data arrives
+// through bulk_load, which builds the balanced tree (depth ceil(log2(n+1)))
+// directly, and steady-state keys in the benchmarks are drawn at random, so
+// depth stays logarithmic. A sorted put stream would instead degenerate into
+// a chain — every get O(n), every path copy O(n) pool nodes — which is why
+// initial loads go through bulk_load, never a put loop. The engine's
+// observable behaviour (single writer, lock-free snapshot reads) does not
+// depend on the tree shape. Raw child pointers: lifetime is managed by the
 // epoch reclaimer, not refcounts — a node stays valid for as long as any
 // pinned snapshot could reach it. `pool` points back at the owning freelist
 // so the reclaimer's context-free Deleter can recycle the node (DESIGN.md
@@ -173,6 +179,20 @@ const Node* MvKv::remove(const Node* node, std::uint64_t key, bool& removed,
   return fresh_node(succ->key, succ->value, node->left, right);
 }
 
+const Node* MvKv::build(std::span<const std::uint64_t> keys,
+                        std::string_view value) {
+  if (keys.empty()) return nullptr;
+  // Element size/2 roots the subrange: the median-first rule, so a tree
+  // built here has exactly the shape inserting each subrange's middle key
+  // before its halves would give.
+  const std::size_t mid = keys.size() / 2;
+  const Node* left = build(keys.first(mid), value);
+  const Node* right = build(keys.subspan(mid + 1), value);
+  // Straight to the pool, not fresh_node: the build retires nothing, so a
+  // reclaim wait on a freelist miss would have nothing to wait for.
+  return pool_.acquire(keys[mid], value, left, right);
+}
+
 void MvKv::publish(const Node* new_root, std::vector<const Node*>& retired) {
   // Release-publish the new version first: once a reader can load new_root
   // it can no longer reach the retired path copies, so handing them to the
@@ -230,6 +250,18 @@ void MvKv::put(std::uint64_t key, std::string_view value) {
   if (added) size_.fetch_add(1, std::memory_order_relaxed);
   version_.fetch_add(1, std::memory_order_relaxed);
   publish(new_root, retire_scratch_);
+}
+
+void MvKv::bulk_load(std::span<const std::uint64_t> keys,
+                     std::string_view value) {
+  LockGuard<AslMutex<McsLock>> writer(writer_lock_);
+  require_bulk_load_contract("mvcc", size(), keys);
+  if (keys.empty()) return;
+  const Node* root = build(keys, value);
+  size_.store(keys.size(), std::memory_order_relaxed);
+  version_.fetch_add(1, std::memory_order_relaxed);
+  // One release-publish of a tree no reader has seen: nothing to retire.
+  root_.store(root, std::memory_order_release);
 }
 
 bool MvKv::erase(std::uint64_t key) {
@@ -307,6 +339,23 @@ std::size_t MvKv::size() const {
 
 std::uint64_t MvKv::version() const {
   return version_.load(std::memory_order_acquire);
+}
+
+std::size_t MvKv::height() const {
+  const Snapshot snap = snapshot();
+  std::size_t height = 0;
+  // Explicit stack: a degenerate (put-built sorted) tree is as deep as it
+  // is large, too deep to recurse over safely.
+  std::vector<std::pair<const Node*, std::size_t>> stack;
+  if (snap.root_ != nullptr) stack.emplace_back(snap.root_, 1);
+  while (!stack.empty()) {
+    const auto [node, depth] = stack.back();
+    stack.pop_back();
+    height = std::max(height, depth);
+    if (node->left != nullptr) stack.emplace_back(node->left, depth + 1);
+    if (node->right != nullptr) stack.emplace_back(node->right, depth + 1);
+  }
+  return height;
 }
 
 std::size_t MvKv::pool_total() const { return pool_.total(); }

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +46,12 @@ class MvKv {
 
   // Write transaction: delete. Returns true if the key existed.
   bool erase(std::uint64_t key);
+
+  // Initial load (KvEngine::bulk_load's contract: the store is empty and
+  // `keys` strictly ascending, else abort). Builds the balanced tree in
+  // O(n) — each subrange's root is its element size/2 — and publishes it
+  // once under the writer lock: no path copies, nothing retired.
+  void bulk_load(std::span<const std::uint64_t> keys, std::string_view value);
 
   // Read transaction: pins the current root (epoch pin, no lock), then
   // reads lock-free.
@@ -92,6 +99,11 @@ class MvKv {
   // currently sit on the freelist.
   std::size_t pool_total() const;
   std::size_t pool_free() const;
+
+  // Node count on the longest root-to-leaf path of the current version (0
+  // when empty): the cost of a get and the length of a put's path copy. A
+  // full traversal — an observability call, not a hot-path one.
+  std::size_t height() const;
 
  private:
   using Node = Snapshot::Node;
@@ -164,6 +176,8 @@ class MvKv {
                      std::vector<const Node*>& retired);
   const Node* remove(const Node* node, std::uint64_t key, bool& removed,
                      std::vector<const Node*>& retired);
+  const Node* build(std::span<const std::uint64_t> keys,
+                    std::string_view value);
   void publish(const Node* new_root, std::vector<const Node*>& retired);
 
   mutable AslMutex<McsLock> writer_lock_;  // the single-writer global lock

@@ -1,6 +1,8 @@
 #include "harness/engine_calib.h"
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 
 #include "platform/rng.h"
 #include "platform/time.h"
@@ -50,9 +52,12 @@ EngineCalibResult calibrate_engine(const std::string& engine,
 
   const std::uint64_t key_space =
       config.key_space == 0 ? 1 : config.key_space;
-  for (std::uint64_t k = 0; k < config.prefill_keys; ++k) {
-    kv->put(k % key_space, "prefill");
-  }
+  // The prefill's distinct keys, [0, min(prefill_keys, key_space)), loaded
+  // through bulk_load so each engine starts in the shape the service gives
+  // it — a put loop in ascending order would time mvcc on a chain.
+  std::vector<std::uint64_t> prefill(std::min(config.prefill_keys, key_space));
+  std::iota(prefill.begin(), prefill.end(), std::uint64_t{0});
+  kv->bulk_load(prefill, "prefill");
 
   result.nop_ns = measure_nop_ns();
   // Keys and values are drawn/built outside the timed loops so the

@@ -6,7 +6,8 @@
 //   (a) the wall-clock cost of one emulated NOP (spin_nops — the unit the
 //       profile is denominated in), and
 //   (b) the mean wall-clock cost of one get and one put against a live
-//       engine instance (prefilled, uniform random keys),
+//       engine instance (prefilled through KvEngine::bulk_load, uniform
+//       random keys),
 // then divides (b) by (a) to express the engine's op costs as NOP classes.
 // The measured profile keeps the checked-in default's post_nops (the
 // off-lock share is a modeling split the wall clock cannot observe from

@@ -12,6 +12,12 @@
 //   * writers serialize on an AslMutex (so LibASL's SLO-guided ordering
 //     applies among writers), announce intent (writer_pending_), wait for
 //     readers to drain, then set writer_active.
+//
+// Admission is a Dekker handshake: a reader increments readers_ then loads
+// writer_pending_, a writer stores writer_pending_ then loads readers_.
+// Each side's store must be ordered before its load, which only seq_cst
+// gives on both sides (release/acquire lets x86 hoist the load above the
+// buffered store, and then a reader and a writer both get in).
 #pragma once
 
 #include <atomic>
@@ -37,8 +43,8 @@ class RwLock {
       while (writer_pending_.load(std::memory_order_acquire)) {
         waiter.pause();
       }
-      readers_.fetch_add(1, std::memory_order_acquire);
-      if (!writer_pending_.load(std::memory_order_acquire)) {
+      readers_.fetch_add(1, std::memory_order_seq_cst);
+      if (!writer_pending_.load(std::memory_order_seq_cst)) {
         return;
       }
       // A writer announced intent between our check and increment: back out
@@ -51,8 +57,8 @@ class RwLock {
 
   bool try_lock_shared() {
     if (writer_pending_.load(std::memory_order_acquire)) return false;
-    readers_.fetch_add(1, std::memory_order_acquire);
-    if (writer_pending_.load(std::memory_order_acquire)) {
+    readers_.fetch_add(1, std::memory_order_seq_cst);
+    if (writer_pending_.load(std::memory_order_seq_cst)) {
       readers_.fetch_sub(1, std::memory_order_release);
       return false;
     }
@@ -61,17 +67,17 @@ class RwLock {
 
   void lock() {
     writer_lock_.lock();  // LibASL ordering among writers
-    writer_pending_.store(true, std::memory_order_release);
+    writer_pending_.store(true, std::memory_order_seq_cst);
     SpinWait waiter;
-    while (readers_.load(std::memory_order_acquire) != 0) {
+    while (readers_.load(std::memory_order_seq_cst) != 0) {
       waiter.pause();
     }
   }
 
   bool try_lock() {
     if (!writer_lock_.try_lock()) return false;
-    writer_pending_.store(true, std::memory_order_release);
-    if (readers_.load(std::memory_order_acquire) != 0) {
+    writer_pending_.store(true, std::memory_order_seq_cst);
+    if (readers_.load(std::memory_order_seq_cst) != 0) {
       writer_pending_.store(false, std::memory_order_release);
       writer_lock_.unlock();
       return false;

@@ -3,8 +3,8 @@
 // Queue locks (MCS, CLH, ShflLock) need a per-thread, per-lock slot for their
 // queue node. Rather than hashing thread ids per acquisition (litl-style), we
 // assign each thread a small dense id on first use and let every lock keep a
-// fixed array of kMaxThreads nodes. This costs 16 KiB per MCS lock and makes
-// the hot path a single indexed load.
+// fixed array of kMaxThreads nodes. This costs 32 KiB per MCS lock (512
+// cache-line nodes of 64 B) and makes the hot path a single indexed load.
 #pragma once
 
 #include <cstdint>

@@ -72,24 +72,16 @@ KvService::KvService(KvServiceConfig config) : config_(std::move(config)) {
     classes_.push_back(std::move(cs));
   }
 
-  // Median-first prefill order (each range's midpoint before its halves):
-  // engines with comparison-ordered internals that never rebalance — the
-  // mvcc path-copying BST — come up with logarithmic depth, where the
-  // ascending 0..N-1 order would build a degenerate N-deep chain: every
-  // mvcc get would then traverse O(N) nodes and every put would path-copy
-  // O(N) pool nodes, which is both a latency cliff and a steady drain on
-  // the node freelist (DESIGN.md §9). Hash/btree/lsm are insensitive to
-  // the order; the key set is identical either way.
+  // Prefill: each shard's own keys, ascending, in one bulk_load. The
+  // engine decides the shape its initial data takes (DESIGN.md §7) — for
+  // mvcc that is the balanced tree, whatever the shard count.
   if (config_.prefill_keys > 0) {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-    ranges.emplace_back(0, config_.prefill_keys);  // half-open [lo, hi)
-    while (!ranges.empty()) {
-      const auto [lo, hi] = ranges.back();
-      ranges.pop_back();
-      const std::uint64_t mid = lo + (hi - lo) / 2;
-      shards_[shard_of(mid)]->engine->put(mid, "prefill");
-      if (mid > lo) ranges.emplace_back(lo, mid);
-      if (mid + 1 < hi) ranges.emplace_back(mid + 1, hi);
+    std::vector<std::vector<std::uint64_t>> shard_keys(config_.num_shards);
+    for (std::uint64_t key = 0; key < config_.prefill_keys; ++key) {
+      shard_keys[shard_of(key)].push_back(key);
+    }
+    for (std::uint32_t s = 0; s < config_.num_shards; ++s) {
+      shards_[s]->engine->bulk_load(shard_keys[s], "prefill");
     }
   }
 

@@ -227,7 +227,8 @@ struct KvServiceConfig {
   // engine op; the twin charges the identical classes in virtual time.
   db::CostProfile cost{};
   double cost_scale = 1.0;
-  // Keys [0, prefill_keys) are inserted at construction so gets can hit.
+  // Keys [0, prefill_keys) are loaded at construction so gets can hit:
+  // each shard's keys go to its engine in one KvEngine::bulk_load.
   std::uint64_t prefill_keys = 0;
   // Batch drain (DESIGN.md §6): a worker serves up to batch_k same-shard
   // requests per BlockingAslMutex acquisition — the blocking pop delivers

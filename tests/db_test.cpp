@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <set>
 #include <string>
 #include <thread>
@@ -49,6 +50,29 @@ TEST(HashKv, ForEachSeesEverything) {
     seen.insert(k);
   });
   EXPECT_EQ(seen.size(), 64u);
+}
+
+TEST(HashKv, LargeStoreReadsBackAndIteratesEachKeyOnce) {
+  // 2^15 keys on the service engine's 16 slots: every key reads back from
+  // its 2,048-entry chain, and iteration walks every chain exactly once.
+  constexpr std::uint64_t kKeys = 1u << 15;
+  HashKv kv(16);
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(kv.put(key_of(i), val_of(i)));
+  }
+  EXPECT_EQ(kv.size(), kKeys);
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(kv.get(key_of(i)).value_or(""), val_of(i)) << i;
+  }
+  std::set<std::string> seen;
+  std::uint64_t visits = 0;
+  kv.for_each([&](const std::string& k, const std::string& v) {
+    ++visits;
+    seen.insert(k);
+    EXPECT_EQ(v, "val" + k.substr(3));
+  });
+  EXPECT_EQ(visits, kKeys);
+  EXPECT_EQ(seen.size(), kKeys) << "each key visited exactly once";
 }
 
 TEST(HashKv, ConcurrentMixedOps) {
@@ -549,6 +573,85 @@ TEST(KvEngineContract, LockFreeGetCapabilityMatchesProfileFlag) {
   // scaled() must not drop the routing flag (it scales costs, not semantics).
   EXPECT_TRUE(default_cost_profile("mvcc").scaled(100.0).get_lock_free);
   EXPECT_FALSE(default_cost_profile("hash").scaled(100.0).get_lock_free);
+}
+
+TEST(KvEngineContract, BulkLoadMatchesAPutFilledEngine) {
+  // bulk_load's contract (DESIGN.md §7): whatever shape an engine gives
+  // its initial data, the result reads and writes exactly like the same
+  // keys put one by one. Keys are spaced so later puts can land between
+  // them.
+  for (const std::string& name : kv_engine_names()) {
+    for (const std::uint64_t n : {0u, 1u, 2u, 3u, 1000u}) {
+      std::vector<std::uint64_t> keys(n);
+      for (std::uint64_t i = 0; i < n; ++i) keys[i] = 3 * i + 1;
+      const std::unique_ptr<KvEngine> loaded = make_kv_engine(name);
+      const std::unique_ptr<KvEngine> put_filled = make_kv_engine(name);
+      loaded->bulk_load(keys, "bulk");
+      for (const std::uint64_t k : keys) put_filled->put(k, "bulk");
+      const std::string at = name + " n=" + std::to_string(n);
+      ASSERT_EQ(loaded->size(), n) << at;
+      for (const std::uint64_t k : keys) {
+        ASSERT_EQ(loaded->get(k).value_or("<missing>"), "bulk") << at;
+      }
+      EXPECT_FALSE(loaded->get(3 * n + 1).has_value()) << at;
+      // The same later writes on both: an insert between loaded keys, an
+      // overwrite, an erase of a loaded key and of a missing one.
+      const std::uint64_t mid = n == 0 ? 0 : keys[n / 2];
+      for (KvEngine* kv : {loaded.get(), put_filled.get()}) {
+        kv->put(mid + 1, "new");
+        kv->put(mid, "over");
+      }
+      EXPECT_EQ(loaded->erase(mid), put_filled->erase(mid)) << at;
+      EXPECT_EQ(loaded->erase(mid + 2), put_filled->erase(mid + 2)) << at;
+      EXPECT_EQ(loaded->size(), put_filled->size()) << at;
+      for (std::uint64_t k = 0; k <= 3 * n + 2; ++k) {
+        ASSERT_EQ(loaded->get(k), put_filled->get(k)) << at << " key " << k;
+      }
+    }
+  }
+}
+
+TEST(KvEngineContractDeathTest, BulkLoadIntoANonEmptyEngineAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<std::uint64_t> keys = {1, 2, 3};
+  for (const std::string& name : kv_engine_names()) {
+    const std::unique_ptr<KvEngine> engine = make_kv_engine(name);
+    engine->put(7, "x");
+    EXPECT_DEATH(engine->bulk_load(keys, "v"), "not empty") << name;
+  }
+}
+
+TEST(KvEngineContractDeathTest, BulkLoadOfUnsortedOrDuplicateKeysAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<std::uint64_t> unsorted = {1, 3, 2};
+  const std::vector<std::uint64_t> duplicate = {1, 2, 2, 3};
+  for (const std::string& name : kv_engine_names()) {
+    const std::unique_ptr<KvEngine> engine = make_kv_engine(name);
+    EXPECT_DEATH(engine->bulk_load(unsorted, "v"), "strictly ascending")
+        << name;
+    EXPECT_DEATH(engine->bulk_load(duplicate, "v"), "strictly ascending")
+        << name;
+  }
+}
+
+TEST(MvKv, BulkLoadBuildsAMinimalHeightTree) {
+  // ceil(log2(n+1)) — the bit width of n — is the least height any BST of
+  // n nodes can have; the median-first build reaches it for every n.
+  for (const std::uint64_t n : {0u, 1u, 2u, 3u, 4u, 7u, 8u, 1000u, 4096u}) {
+    std::vector<std::uint64_t> keys(n);
+    for (std::uint64_t i = 0; i < n; ++i) keys[i] = 2 * i;
+    MvKv kv;
+    kv.bulk_load(keys, "v");
+    EXPECT_EQ(kv.height(), static_cast<std::size_t>(std::bit_width(n)))
+        << "n=" << n;
+    EXPECT_EQ(kv.size(), n);
+    EXPECT_EQ(kv.reclaimer().retired_backlog(), 0u)
+        << "a bulk load publishes once and retires nothing";
+  }
+  // Contrast: ascending puts build a chain, as deep as it is large.
+  MvKv chain;
+  for (std::uint64_t k = 0; k < 64; ++k) chain.put(k, "v");
+  EXPECT_EQ(chain.height(), 64u);
 }
 
 TEST(MvKv, ReclaimerFreesRetiredVersionsUnderChurn) {

@@ -3,6 +3,7 @@
 // the open-loop generator's conservation laws.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 #include <sstream>
 #include <string>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "asl/runtime.h"
+#include "db/mvkv.h"
 #include "server/kv_service.h"
 #include "server/replay.h"
 #include "server/request_queue.h"
@@ -367,30 +369,55 @@ TEST(ServiceBackpressure, CapacityOneServiceKeepsDrainInvariant) {
 TEST(ServiceEngines, EveryRegisteredEngineServesAndDrains) {
   // The engine seam on the real path (DESIGN.md §7): the same service,
   // traffic and accounting on each registered engine — only
-  // KvServiceConfig::engine differs. Puts must land in the engine's store
+  // KvServiceConfig::engine differs. The prefill must land whole however
+  // it is split over shards, puts must land in the engine's store
   // (distinct keys => store growth) and the drain invariant must hold.
   for (const std::string& engine : db::kv_engine_names()) {
-    KvServiceConfig cfg;
-    cfg.num_shards = 2;
-    cfg.workers_per_shard = 2;
-    cfg.queue_capacity = 128;
-    cfg.engine = engine;
-    cfg.prefill_keys = 32;
-    cfg.classes.push_back(RequestClass{"eng-" + engine, 2 * kNanosPerMilli});
-    KvService service(cfg);
-    EXPECT_EQ(service.store_size(), 32u) << engine;
-    service.start();
-    std::uint64_t accepted = 0;
-    for (std::uint64_t key = 0; key < 200; ++key) {
-      accepted += service.try_submit(
-          key % 2 == 0 ? OpType::kPut : OpType::kGet, 1000 + key, 0);
+    for (const std::uint32_t shards : {1u, 2u, 3u}) {
+      const std::string at = engine + " x" + std::to_string(shards);
+      KvServiceConfig cfg;
+      cfg.num_shards = shards;
+      cfg.workers_per_shard = 2;
+      cfg.queue_capacity = 128;
+      cfg.engine = engine;
+      cfg.prefill_keys = 32;
+      cfg.classes.push_back(RequestClass{"eng-" + engine, 2 * kNanosPerMilli});
+      KvService service(cfg);
+      EXPECT_EQ(service.store_size(), 32u) << at;
+      service.start();
+      std::uint64_t accepted = 0;
+      for (std::uint64_t key = 0; key < 200; ++key) {
+        accepted += service.try_submit(
+            key % 2 == 0 ? OpType::kPut : OpType::kGet, 1000 + key, 0);
+      }
+      service.stop();
+      const ServiceReport report = service.report();
+      EXPECT_EQ(report.classes[0].accepted, accepted) << at;
+      EXPECT_EQ(report.classes[0].completed, accepted) << at;
+      EXPECT_GT(service.store_size(), 32u)
+          << at << ": puts must reach the engine";
     }
-    service.stop();
-    const ServiceReport report = service.report();
-    EXPECT_EQ(report.classes[0].accepted, accepted) << engine;
-    EXPECT_EQ(report.classes[0].completed, accepted) << engine;
-    EXPECT_GT(service.store_size(), 32u)
-        << engine << ": puts must reach the engine";
+  }
+}
+
+TEST(ServiceEngines, ShardKeySetsBulkLoadIntoMinimalHeightTrees) {
+  // The prefill's per-shard split (KvService's constructor): 2^15 keys over
+  // 3 shards by shard_for_key, each shard's ascending run bulk-loaded. Every
+  // shard's tree must come out at the minimal height ceil(log2(n+1)) for
+  // its own key count, not just the one-shard case.
+  constexpr std::uint64_t kKeys = 1u << 15;
+  constexpr std::uint32_t kShards = 3;
+  std::vector<std::vector<std::uint64_t>> shard_keys(kShards);
+  for (std::uint64_t key = 0; key < kKeys; ++key) {
+    shard_keys[shard_for_key(key, kShards)].push_back(key);
+  }
+  for (const std::vector<std::uint64_t>& keys : shard_keys) {
+    db::MvKv kv;
+    kv.bulk_load(keys, "prefill");
+    EXPECT_EQ(kv.size(), keys.size());
+    EXPECT_EQ(kv.height(),
+              static_cast<std::size_t>(std::bit_width(keys.size())))
+        << keys.size() << " keys";
   }
 }
 
