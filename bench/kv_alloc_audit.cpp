@@ -35,8 +35,8 @@ using server::OpType;
 // the keyspace prefilled, steady-state puts are in-place value overwrites
 // (capacity-reusing assign) and node splits are amortized into warmup, so
 // the audited windows are allocation-free. Not "lsm": its per-op
-// allocations (memtable entries, snapshot vectors) are structural —
-// CostProfile::allocs prices them instead (DESIGN.md §7/§9).
+// allocations (memtable entries, snapshot vectors) are structural — the
+// lsm CostProfile's calibrated times include them instead (DESIGN.md §7/§9).
 const char* const kAuditedEngines[] = {"hash", "btree", "mvcc"};
 
 // With --telemetry=on the audited service also runs the full observation

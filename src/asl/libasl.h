@@ -16,7 +16,6 @@
 // the oversubscription variant over pthread_mutex.
 #pragma once
 
-#include "platform/time.h"
 #include "platform/topology.h"
 #include "locks/mcs.h"
 #include "reorder/blocking_reorderable.h"
@@ -40,15 +39,6 @@ class AslMutex {
                  [] { return current_epoch_window(); });
   }
 
-  // lock() plus the measured wait (request -> acquisition) — the telemetry
-  // layer's lock-wait observable (DESIGN.md §11). A separate entry point so
-  // untelemetered acquisitions pay zero extra clock reads.
-  Nanos lock_timed() {
-    const Nanos t0 = now_ns();
-    lock();
-    return now_ns() - t0;
-  }
-
   bool try_lock() { return inner_.try_lock(); }
   void unlock() { inner_.unlock(); }
   bool is_free() const { return inner_.is_free(); }
@@ -70,13 +60,6 @@ class BasicBlockingAslMutex {
   void lock() {
     Policy::lock(inner_, current_core_type(),
                  [] { return current_epoch_window(); });
-  }
-
-  // See AslMutex::lock_timed — same contract for the blocking variant.
-  Nanos lock_timed() {
-    const Nanos t0 = now_ns();
-    lock();
-    return now_ns() - t0;
   }
 
   bool try_lock() { return inner_.try_lock(); }

@@ -131,12 +131,6 @@ using EngineFactory = std::unique_ptr<KvEngine> (*)();
 //     class is the off-lock snapshot traversal, charged at non-CS speed);
 //     puts path-copy under the single-writer lock (cs) and retire the old
 //     version's nodes to the epoch reclaimer afterwards (post).
-// The third OpCost field is the steady-state allocation count (DESIGN.md
-// §9): hash, btree and mvcc are allocation-free after warmup (hash/mvcc
-// pinned at zero by kv_alloc_audit; btree allocates only on the rare
-// amortized split), while lsm inherently allocates — every get materializes
-// a run-list snapshot, every put appends a memtable entry and carries the
-// amortized rotation/compaction churn.
 struct EngineEntry {
   const char* name;
   EngineFactory make;
@@ -147,13 +141,13 @@ struct EngineEntry {
 // keep one entry per line.
 const EngineEntry kEngineRegistry[] = {
     {"btree", [] { return std::unique_ptr<KvEngine>(new BtreeKvEngine); },
-     CostProfile{{1000, 100, 0}, {1300, 120, 0}}},
+     CostProfile{{1000, 100}, {1300, 120}}},
     {"hash", [] { return std::unique_ptr<KvEngine>(new HashKvEngine); },
-     CostProfile{{400, 100, 0}, {400, 100, 0}}},
+     CostProfile{{400, 100}, {400, 100}}},
     {"lsm", [] { return std::unique_ptr<KvEngine>(new LsmKvEngine); },
-     CostProfile{{250, 600, 1}, {1500, 100, 1}}},
+     CostProfile{{250, 600}, {1500, 100}}},
     {"mvcc", [] { return std::unique_ptr<KvEngine>(new MvccKvEngine); },
-     CostProfile{{700, 100, 0}, {1200, 300, 0}, /*get_lock_free=*/true}},
+     CostProfile{{700, 100}, {1200, 300}, /*get_lock_free=*/true}},
 };
 
 const EngineEntry* find_entry(std::string_view name) {

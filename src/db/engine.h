@@ -40,15 +40,9 @@ namespace asl::db {
 // One operation's service-cost class: emulated NOPs inside the shard lock
 // (cs_nops) and after release (post_nops). Big-core counts; little cores
 // stretch by the SpeedFactors / machine-model slowdowns at the call site.
-// `allocs` is the op's steady-state heap-allocation count (operator-new
-// calls per op after warmup, measured by the asl_alloc hooks): a *count*,
-// not a NOP budget, so cost_scale never touches it. The twin charges
-// allocs * SimTwinConfig::alloc_ns on the op's service segment; the
-// kv_alloc_audit scenario is what pins the zero rows as regressions.
 struct OpCost {
   std::uint64_t cs_nops = 0;
   std::uint64_t post_nops = 0;
-  std::uint64_t allocs = 0;
 };
 
 // Per-op cost classes for one engine. This is what replaces the service's
@@ -71,10 +65,8 @@ struct CostProfile {
 
   const OpCost& op(bool is_put) const { return is_put ? put : get; }
 
-  // All-zero *time* means "unset": KvServiceConfig uses it as the sentinel
-  // for "resolve from the engine registry default". The allocation counts
-  // deliberately do not participate — a profile carrying only allocs has no
-  // service time and could not have come from calibration.
+  // All-zero means "unset": KvServiceConfig uses it as the sentinel for
+  // "resolve from the engine registry default".
   bool empty() const {
     return get.cs_nops == 0 && get.post_nops == 0 && put.cs_nops == 0 &&
            put.post_nops == 0;
@@ -82,15 +74,13 @@ struct CostProfile {
 
   // Uniformly scaled copy — the overload scenarios' knob. Scaling every
   // class by one factor preserves the get/put asymmetry (it is not a fold
-  // back into a single number). Allocation counts pass through unscaled:
-  // making an op's emulated work 10x heavier does not make it call the
-  // allocator 10x more.
+  // back into a single number).
   CostProfile scaled(double factor) const {
     auto mul = [factor](std::uint64_t n) {
       return static_cast<std::uint64_t>(static_cast<double>(n) * factor);
     };
-    return CostProfile{{mul(get.cs_nops), mul(get.post_nops), get.allocs},
-                       {mul(put.cs_nops), mul(put.post_nops), put.allocs},
+    return CostProfile{{mul(get.cs_nops), mul(get.post_nops)},
+                       {mul(put.cs_nops), mul(put.post_nops)},
                        get_lock_free};
   }
 };

@@ -32,8 +32,8 @@ class LsmKv {
   LsmKv() : LsmKv(Options{}) {}
 
   // The value is a view; the memtable entry copies it (an LSM put appends a
-  // fresh version by design, so this engine allocates per put — the cost
-  // registry's nonzero allocs row, DESIGN.md §9).
+  // fresh version by design, so this engine allocates per put — the one
+  // engine kv_alloc_audit exempts, DESIGN.md §9).
   void put(std::uint64_t key, std::string_view value);
   // Tombstone write; get() of an erased key returns nullopt.
   void erase(std::uint64_t key);

@@ -79,16 +79,10 @@ EngineCalibResult calibrate_engine(const std::string& engine,
     const double n = ns / result.nop_ns;
     return n < 1.0 ? std::uint64_t{1} : static_cast<std::uint64_t>(n);
   };
-  // The measured wall time already *includes* whatever the engine's
-  // allocations cost on this host, but the count is carried through
-  // unchanged: it is a structural fact about the engine (lsm allocates per
-  // op, the pooled engines do not), not something a timing run re-derives.
-  result.measured.get = db::OpCost{to_nops(result.get_ns),
-                                   result.reference.get.post_nops,
-                                   result.reference.get.allocs};
-  result.measured.put = db::OpCost{to_nops(result.put_ns),
-                                   result.reference.put.post_nops,
-                                   result.reference.put.allocs};
+  result.measured.get =
+      db::OpCost{to_nops(result.get_ns), result.reference.get.post_nops};
+  result.measured.put =
+      db::OpCost{to_nops(result.put_ns), result.reference.put.post_nops};
   // Routing is part of the profile: a measured profile fed back through
   // KvServiceConfig::cost must keep the engine on the same (lock-free or
   // locked) get route as the reference, or the calibration would silently

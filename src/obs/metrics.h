@@ -1,21 +1,21 @@
-// Lock-free metrics registry — the recording half of the telemetry layer
-// (DESIGN.md §11).
+// Lock-free metrics registry — the storage of the KV service's one
+// accounting store (DESIGN.md §4, §11).
 //
 // Metrics are *named at registration, indexed at recording*: a service
 // registers counters, gauges and log-bucketed histograms while it is built,
 // calls freeze() once to lay the storage out, and from then on every
-// recording is one relaxed atomic RMW into a preallocated, cache-line-
-// padded per-slot cell — wait-free and allocation-free, which is what lets
-// the kv_alloc_audit zero survive with telemetry ON (DESIGN.md §9). A
-// "slot" is a writer identity (one per worker thread on the real path, a
-// single slot on the single-threaded twin); writers never share a cell, so
-// recording never contends and never false-shares.
+// recording is a relaxed atomic load and store into a preallocated, cache-
+// line-padded per-slot cell — wait-free and allocation-free, which is what
+// lets the kv_alloc_audit zero hold (DESIGN.md §9). A "slot" is a writer
+// identity (a worker thread on the real path, a core type on the single-
+// threaded twin) with one writer at a time, so recording needs no
+// read-modify-write and never contends or false-shares.
 //
-// Reading is the sampler's job: fold() / fold_buckets() sum a metric's
-// slots with relaxed loads. Concurrent folds see a racing snapshot (each
-// cell individually atomic), which is exactly the fidelity a periodic
-// sampler needs — monotone counters can only be undercounted by an
-// in-flight increment, never corrupted.
+// Reading is a fold over the slots. A fold racing the writers sees each
+// cell at some recent value: counters can only be undercounted by an
+// in-flight recording, never corrupted, repeated folds from one thread are
+// monotone, and a histogram fold never counts a value its max misses
+// (observe() publishes the bucket count last, with release).
 #pragma once
 
 #include <atomic>
@@ -44,7 +44,8 @@ class MetricsRegistry {
 
   // Registration (before freeze() only): returns the metric's id. Counters
   // accumulate via add(), gauges overwrite via set(), histograms bucket
-  // observations via observe() into Histogram's log-bucketed layout.
+  // observations via observe() into Histogram's log-bucketed layout and
+  // keep their sum, min and max.
   MetricId counter(std::string name);
   MetricId gauge(std::string name);
   MetricId histogram(std::string name);
@@ -52,57 +53,77 @@ class MetricsRegistry {
   // Lays out the storage (the only allocation this class ever performs).
   // Registration after freeze() or recording before it is a caller bug.
   void freeze();
-  bool frozen() const { return frozen_; }
 
   // --- recording: wait-free, allocation-free, relaxed atomics ------------
   void add(MetricId id, std::uint32_t slot, std::uint64_t delta) {
-    scalars_[scalar_cell(id, slot)].value.fetch_add(
-        delta, std::memory_order_relaxed);
+    bump(scalars_[cell(id, slot)].value, delta, std::memory_order_relaxed);
   }
   void set(MetricId id, std::uint32_t slot, std::uint64_t value) {
-    scalars_[scalar_cell(id, slot)].value.store(value,
-                                                std::memory_order_relaxed);
+    scalars_[cell(id, slot)].value.store(value, std::memory_order_relaxed);
   }
   void observe(MetricId id, std::uint32_t slot, std::uint64_t value) {
-    hist_[hist_base(id, slot) + Histogram::bucket_index(value)].fetch_add(
-        1, std::memory_order_relaxed);
+    const std::size_t c = cell(id, slot);
+    HistStats& st = hist_stats_[c];
+    bump(st.sum, value, std::memory_order_relaxed);
+    if (value < st.min.load(std::memory_order_relaxed)) {
+      st.min.store(value, std::memory_order_relaxed);
+    }
+    if (value > st.max.load(std::memory_order_relaxed)) {
+      st.max.store(value, std::memory_order_relaxed);
+    }
+    bump(hist_[c * Histogram::kNumBuckets + Histogram::bucket_index(value)], 1,
+         std::memory_order_release);
   }
 
-  // --- folding (sampler side; allocation-free) ---------------------------
+  // --- folding (reader side) ---------------------------------------------
   // Sum of a counter/gauge over every slot.
   std::uint64_t fold(MetricId id) const;
-  // Per-bucket sums of a histogram over every slot, written into `out`
-  // (caller-preallocated, Histogram::kNumBuckets entries, overwritten).
-  // Returns the total observation count (the bucket sum).
-  std::uint64_t fold_buckets(MetricId id, std::uint64_t* out) const;
+  // Per-bucket sums of a histogram over slots [first, last) into `out`
+  // (Histogram::kNumBuckets entries, overwritten); returns their total.
+  // Allocation-free: the sampler's fold.
+  std::uint64_t fold_buckets(MetricId id, std::uint64_t* out,
+                             std::uint32_t first = 0,
+                             std::uint32_t last = ~0u) const;
+  // The same slots as one Histogram, equal in every observable to the one
+  // a single recorder of their observations would have built. Allocates.
+  Histogram fold_histogram(MetricId id, std::uint32_t first = 0,
+                           std::uint32_t last = ~0u) const;
 
   std::uint32_t num_slots() const { return num_slots_; }
   std::size_t size() const { return metrics_.size(); }
   const std::string& name(MetricId id) const { return metrics_[id].name; }
-  MetricKind kind(MetricId id) const { return metrics_[id].kind; }
 
  private:
   // One padded cell per (scalar metric, slot): two writers' hot counters
-  // never share a line, and neither does the sampler's fold cursor.
+  // never share a line, and neither does a reader's fold cursor.
   struct alignas(kCacheLine) PaddedCell {
     std::atomic<std::uint64_t> value{0};
+  };
+  // Per (histogram metric, slot), on the writer's own line.
+  struct alignas(kCacheLine) HistStats {
+    std::atomic<std::uint64_t> sum{0};
+    std::atomic<std::uint64_t> min{~0ULL};  // Histogram's empty state
+    std::atomic<std::uint64_t> max{0};
   };
 
   struct Metric {
     std::string name;
-    MetricKind kind = MetricKind::kCounter;
     // Dense index among metrics of the same storage family (scalar vs
-    // histogram); the cell math below turns it into an array offset.
+    // histogram); cell() turns it into an array offset.
     std::size_t base = 0;
   };
 
-  std::size_t scalar_cell(MetricId id, std::uint32_t slot) const {
-    return metrics_[id].base * num_slots_ + slot;
+  // The slot's single writer increments with a load and a store.
+  static void bump(std::atomic<std::uint64_t>& word, std::uint64_t delta,
+                   std::memory_order order) {
+    word.store(word.load(std::memory_order_relaxed) + delta, order);
   }
-  std::size_t hist_base(MetricId id, std::uint32_t slot) const {
-    // A slot's bucket block is kNumBuckets * 8 bytes (way past a line), so
-    // per-slot padding is structural — no PaddedCell needed here.
-    return (metrics_[id].base * num_slots_ + slot) * Histogram::kNumBuckets;
+
+  // Index of (metric, slot) within its storage family. A histogram cell's
+  // bucket block is kNumBuckets * 8 bytes (way past a line), so per-slot
+  // padding of the buckets is structural — no PaddedCell needed there.
+  std::size_t cell(MetricId id, std::uint32_t slot) const {
+    return metrics_[id].base * num_slots_ + slot;
   }
 
   MetricId register_metric(std::string name, MetricKind kind);
@@ -113,6 +134,7 @@ class MetricsRegistry {
   std::size_t scalar_count_ = 0;  // scalar metrics registered so far
   std::size_t hist_count_ = 0;    // histogram metrics registered so far
   std::vector<PaddedCell> scalars_;              // [scalar metric x slot]
+  std::vector<HistStats> hist_stats_;            // [hist metric x slot]
   std::vector<std::atomic<std::uint64_t>> hist_; // [hist metric x slot x bucket]
 };
 

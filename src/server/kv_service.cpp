@@ -1,5 +1,6 @@
 #include "server/kv_service.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -11,6 +12,66 @@
 #include "workload/trace.h"
 
 namespace asl::server {
+
+KvServiceConfig clamped_config(KvServiceConfig config) {
+  if (config.num_shards < 1) config.num_shards = 1;
+  if (config.queue_capacity < 1) config.queue_capacity = 1;
+  if (config.workers_per_shard < 1) config.workers_per_shard = 1;
+  if (config.batch_k < 1) config.batch_k = 1;
+  if (config.batch_k > kMaxBatch) {
+    config.batch_k = static_cast<std::uint32_t>(kMaxBatch);
+  }
+  if (config.classes.empty()) {
+    config.classes.push_back(RequestClass{"kv-default", 0});
+  }
+  return config;
+}
+
+std::uint32_t big_worker_count(const KvServiceConfig& config) {
+  const std::uint32_t n = config.num_shards * config.workers_per_shard;
+  const std::uint32_t big =
+      config.big_workers == ~0u ? (n + 1) / 2 : config.big_workers;
+  return std::min(big, n);
+}
+
+KvAccounting::KvAccounting(const std::vector<RequestClass>& classes,
+                           std::uint32_t num_slots, std::uint32_t big_slots)
+    : registry_(num_slots), big_slots_(big_slots) {
+  for (const RequestClass& spec : classes) {
+    const std::string prefix = "class." + spec.name;
+    classes_.push_back({spec, registry_.histogram(prefix + ".latency_ns"),
+                        registry_.histogram(prefix + ".queue_wait_ns"),
+                        registry_.counter(prefix + ".slo_met")});
+  }
+  get_route_ = registry_.counter("routes.get_route_acquires");
+  put_route_ = registry_.counter("routes.put_route_acquires");
+  cs_gets_ = registry_.counter("routes.cs_gets");
+  lockfree_gets_ = registry_.counter("routes.lockfree_gets");
+  lock_wait_ = registry_.histogram("lock.wait_ns");
+  lock_hold_ = registry_.histogram("lock.hold_ns");
+  registry_.freeze();
+}
+
+ClassReport KvAccounting::fold_class(std::uint32_t c,
+                                     const AdmissionCounts& admitted) const {
+  const ClassMetrics& m = classes_[c];
+  ClassReport r;
+  r.name = m.spec.name;
+  r.slo_ns = m.spec.slo_ns;
+  r.accepted = admitted.accepted;
+  r.rejected = admitted.rejected;
+  // A racing snapshot may tear between two counters; the clamps keep the
+  // contracts unconditional (class_meets_slo subtracts shed on unsigned
+  // values). slo_met is read before the latency fold that bounds it.
+  r.shed = std::min(admitted.shed, admitted.rejected);
+  const std::uint64_t slo_met = registry_.fold(m.slo_met);
+  r.total = LatencySplit(registry_.fold_histogram(m.latency, 0, big_slots_),
+                         registry_.fold_histogram(m.latency, big_slots_));
+  r.queue_wait = registry_.fold_histogram(m.queue_wait);
+  r.completed = r.total.overall().count();
+  r.slo_met = std::min(slo_met, r.completed);
+  return r;
+}
 
 db::CostProfile resolved_cost_profile(const KvServiceConfig& config) {
   // The engine name is validated even when an explicit profile overrides
@@ -29,18 +90,12 @@ db::CostProfile resolved_cost_profile(const KvServiceConfig& config) {
   return profile.scaled(config.cost_scale);
 }
 
-KvService::KvService(KvServiceConfig config) : config_(std::move(config)) {
-  if (config_.num_shards < 1) config_.num_shards = 1;
-  if (config_.workers_per_shard < 1) config_.workers_per_shard = 1;
-  if (config_.batch_k < 1) config_.batch_k = 1;
-  if (config_.batch_k > kMaxBatch) {
-    config_.batch_k = static_cast<std::uint32_t>(kMaxBatch);
-  }
-  if (config_.classes.empty()) {
-    config_.classes.push_back(RequestClass{"kv-default", 0});
-  }
-  cost_ = resolved_cost_profile(config_);
-
+KvService::KvService(KvServiceConfig config)
+    : config_(clamped_config(std::move(config))),
+      cost_(resolved_cost_profile(config_)),
+      accounting_(config_.classes,
+                  config_.num_shards * config_.workers_per_shard,
+                  big_worker_count(config_)) {
   shards_.reserve(config_.num_shards);
   for (std::uint32_t s = 0; s < config_.num_shards; ++s) {
     std::unique_ptr<db::KvEngine> engine = db::make_kv_engine(config_.engine);
@@ -55,14 +110,10 @@ KvService::KvService(KvServiceConfig config) : config_(std::move(config)) {
 
   // Register each request class as a named epoch, its controller seeded
   // proportionally to the SLO by the same rule the simulator configs use.
-  // The shed threshold is precomputed against the queue's *clamped*
-  // capacity, so a zero-capacity config sheds at the same depths the queue
-  // actually enforces.
   for (const RequestClass& spec : config_.classes) {
     auto cs = std::make_unique<ClassState>();
     cs->spec = spec;
-    cs->depth_limit =
-        shed_threshold(spec.admission, shards_[0]->queue.capacity());
+    cs->depth_limit = shed_threshold(spec.admission, config_.queue_capacity);
     EpochOptions opts;
     opts.default_slo_ns = spec.slo_ns;
     if (spec.slo_ns > 0) {
@@ -86,10 +137,9 @@ KvService::KvService(KvServiceConfig config) : config_(std::move(config)) {
   }
 
   // Worker slots: worker w serves shard w % num_shards; the first
-  // big_workers slots are big, the rest little (m1_layout order).
+  // big_worker_count slots are big, the rest little (m1_layout order).
   const std::uint32_t n = config_.num_shards * config_.workers_per_shard;
-  std::uint32_t num_big = config_.big_workers;
-  if (num_big == ~0u) num_big = (n + 1) / 2;
+  const std::uint32_t num_big = big_worker_count(config_);
   for (std::uint32_t w = 0; w < n; ++w) {
     WorkerSlot slot;
     slot.index = w;
@@ -105,10 +155,7 @@ KvService::KvService(KvServiceConfig config) : config_(std::move(config)) {
   // the construction instant so a stop()-without-start() final tick still
   // lands on a sane time axis; start() re-stamps it.
   if (config_.telemetry.enabled) {
-    telemetry_ = std::make_unique<KvTelemetry>(config_, n);
-    tick_accepted_.resize(classes_.size());
-    tick_shed_.resize(classes_.size());
-    tick_depth_.resize(shards_.size());
+    telemetry_ = std::make_unique<KvTelemetry>(config_, accounting_);
     telemetry_start_ns_ = now_ns();
     sampler_ = std::make_unique<obs::Sampler>(
         config_.telemetry.sample_period_ns,
@@ -242,41 +289,18 @@ std::size_t KvService::store_size() const {
   return n;
 }
 
-std::uint32_t KvService::num_workers() const {
-  return static_cast<std::uint32_t>(slots_.size());
-}
-
-LockRouteStats KvService::lock_route_stats() const {
-  LockRouteStats s;
-  s.get_route_acquires = get_route_acquires_.load(std::memory_order_relaxed);
-  s.put_route_acquires = put_route_acquires_.load(std::memory_order_relaxed);
-  s.cs_gets = cs_gets_.load(std::memory_order_relaxed);
-  s.lockfree_gets = lockfree_gets_.load(std::memory_order_relaxed);
-  return s;
-}
-
 ServiceReport KvService::report() const {
   ServiceReport report;
-  for (const auto& cs : classes_) {
-    ClassReport c;
-    c.name = cs->spec.name;
-    c.epoch_id = cs->epoch_id;
-    c.slo_ns = cs->spec.slo_ns;
-    c.accepted = cs->accepted.load(std::memory_order_relaxed);
-    // shed before rejected (the mirror of try_submit's increment order),
-    // then clamp: relaxed loads on a racing snapshot may still tear, and
-    // the report-level contract shed <= rejected must hold uncondition-
-    // ally — class_meets_slo computes rejected - shed on unsigned values.
-    c.shed = cs->shed.load(std::memory_order_relaxed);
-    c.rejected = cs->rejected.load(std::memory_order_relaxed);
-    if (c.shed > c.rejected) c.shed = c.rejected;
-    cs->stats_lock.lock();
-    c.completed = cs->completed;
-    c.slo_met = cs->slo_met;
-    c.total = cs->total;
-    c.queue_wait = cs->queue_wait;
-    cs->stats_lock.unlock();
-    report.classes.push_back(std::move(c));
+  for (std::uint32_t c = 0; c < classes_.size(); ++c) {
+    const ClassState& cs = *classes_[c];
+    // shed before rejected: the mirror of try_submit's increment order, so
+    // a racing snapshot undercounts shed rather than overcounting it.
+    const std::uint64_t shed = cs.shed.load(std::memory_order_relaxed);
+    report.classes.push_back(accounting_.fold_class(
+        c, {.accepted = cs.accepted.load(std::memory_order_relaxed),
+            .rejected = cs.rejected.load(std::memory_order_relaxed),
+            .shed = shed}));
+    report.classes.back().epoch_id = cs.epoch_id;
   }
   return report;
 }
@@ -284,23 +308,17 @@ ServiceReport KvService::report() const {
 void KvService::telemetry_tick(Nanos now) {
   // Snapshot into the preallocated scratch — relaxed racing reads of the
   // same counters report() takes, at sampler fidelity (DESIGN.md §11).
+  TelemetryTickInputs& in = telemetry_->inputs();
   for (std::size_t c = 0; c < classes_.size(); ++c) {
-    tick_accepted_[c] = classes_[c]->accepted.load(std::memory_order_relaxed);
-    tick_shed_[c] = classes_[c]->shed.load(std::memory_order_relaxed);
+    const ClassState& cs = *classes_[c];
+    in.class_accepted[c] = cs.accepted.load(std::memory_order_relaxed);
+    in.class_shed[c] = cs.shed.load(std::memory_order_relaxed);
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    tick_depth_[s] = shards_[s]->queue.size();
+    in.shard_depth[s] = shards_[s]->queue.size();
   }
-  TelemetryTickInputs in;
-  in.class_accepted = tick_accepted_.data();
-  in.class_shed = tick_shed_.data();
-  in.shard_depth = tick_depth_.data();
-  in.lock_acquires =
-      get_route_acquires_.load(std::memory_order_relaxed) +
-      put_route_acquires_.load(std::memory_order_relaxed);
-  in.lockfree_gets = lockfree_gets_.load(std::memory_order_relaxed);
-  telemetry_->fold_tick(
-      now > telemetry_start_ns_ ? now - telemetry_start_ns_ : 0, in);
+  telemetry_->fold_tick(now > telemetry_start_ns_ ? now - telemetry_start_ns_
+                                                  : 0);
 }
 
 void KvService::worker_loop(const WorkerSlot& slot) {
@@ -354,6 +372,7 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
   const std::string_view head_value =
       head.op == OpType::kPut ? arena.format_value(head.key)
                               : std::string_view{};
+  // Ends the head's queue wait and starts its lock wait.
   const Nanos head_start = now_ns();
   batch[count++] = Served{
       head, head_value,
@@ -365,9 +384,8 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
   ClassState& head_cls = *classes_[head.class_index];
   epoch_start(head_cls.epoch_id);
 
-  // Telemetry hooks (DESIGN.md §11): with telemetry off this whole layer is
-  // one null test per batch. A traced head (the span tracer's 1-in-N gate)
-  // contributes one span per phase it passes through.
+  // Span hooks (DESIGN.md §11): a traced head (the span tracer's 1-in-N
+  // gate) contributes one span per phase it passes through.
   KvTelemetry* const telem = telemetry_.get();
   const bool traced = telem && telem->tracer().sample(slot.index);
   if (traced) {
@@ -375,40 +393,18 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
                            head.enqueue_ns, batch[0].wait);
   }
 
+  // Lock-free get route (DESIGN.md §8): the engine's snapshot read is
+  // wait-free against writers, so a get-headed serve touches neither the
+  // shard lock nor the batch extension — the head alone is served with the
+  // off-lock gets below, and the next waiting request is picked up by the
+  // regular pop loop immediately.
   const bool lock_free_gets = cost_.get_lock_free;
-  if (lock_free_gets && head.op == OpType::kGet) {
-    // Lock-free get route (DESIGN.md §8): the engine's snapshot read is
-    // wait-free against writers, so a get-headed serve touches neither the
-    // shard lock nor the batch extension — the emulated service time is
-    // the get class's cs_nops spent *off-lock* at non-CS speed (the same
-    // accounting the twin charges under ncs_slowdown), and the next
-    // waiting request is picked up by the regular pop loop immediately.
-    spin_nops(slot.speed.scale_ncs(cost_.get.cs_nops));
-    (void)shard.engine->get(head.key);
-    batch[0].done = now_ns();
-    lockfree_gets_.fetch_add(1, std::memory_order_relaxed);
-    if (traced) {
-      telem->tracer().record(slot.index, obs::SpanPhase::kCriticalSection,
-                             head_start, batch[0].done - head_start);
-    }
-  } else {
-    // Locked route. The acquisition is attributed to the head's op kind:
-    // get_route_acquires must stay zero on a lock-free profile, and on
-    // locked engines it is the counter that shows gets do block here.
-    (head.op == OpType::kPut ? put_route_acquires_ : get_route_acquires_)
-        .fetch_add(1, std::memory_order_relaxed);
-    Nanos t_acq = head_start;
-    if (telem) {
-      const Nanos waited = shard.lock.lock_timed();
-      t_acq = now_ns();
-      telem->on_lock_wait(slot.index, waited);
-      if (traced) {
-        telem->tracer().record(slot.index, obs::SpanPhase::kLockWait,
-                               t_acq > waited ? t_acq - waited : 0, waited);
-      }
-    } else {
-      shard.lock.lock();
-    }
+  const bool locked = !(lock_free_gets && head.op == OpType::kGet);
+  if (locked) {
+    shard.lock.lock();
+    // Ends the lock wait and starts the hold, which ends at the last
+    // critical-section member's done stamp.
+    const Nanos t_acq = now_ns();
     // Batch extension after the acquisition: requests that were already
     // waiting when the lock was won ride along in this critical section;
     // the drain never waits for new arrivals. Extension values are
@@ -429,6 +425,8 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
     // (served below, off-lock, in pop order). On locked profiles this is
     // the historic path serving every op in pop order, byte-identical
     // behaviour to before the route split.
+    Nanos cs_end = t_acq;
+    std::uint64_t cs_gets = 0;
     for (std::size_t i = 0; i < count; ++i) {
       const Request& req = batch[i].req;
       const bool is_put = req.op == OpType::kPut;
@@ -440,24 +438,28 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
         shard.engine->put(req.key, batch[i].value);
       } else {
         (void)shard.engine->get(req.key);
-        cs_gets_.fetch_add(1, std::memory_order_relaxed);
+        cs_gets += 1;
       }
       // A request is done at the end of its own segment, not the batch's:
       // later batch members pay for the work ahead of them in their
       // measured latency, exactly like requests served by separate
       // acquisitions.
       batch[i].done = now_ns();
+      cs_end = batch[i].done;
     }
-    // Hold time ends here; the histogram/span recording happens after the
-    // release so observation never extends the critical section.
-    const Nanos hold = telem ? now_ns() - t_acq : 0;
     shard.lock.unlock();
-    if (telem) {
-      telem->on_lock_hold(slot.index, hold);
-      if (traced) {
-        telem->tracer().record(slot.index, obs::SpanPhase::kCriticalSection,
-                               t_acq, hold);
-      }
+    // Recorded after the release, so accounting never extends the critical
+    // section. The acquisition is attributed to the head's op kind:
+    // get_route_acquires must stay zero on a lock-free profile.
+    accounting_.acquisition(slot.index, head.op == OpType::kPut);
+    accounting_.lock_wait(slot.index, t_acq - head_start);
+    accounting_.lock_hold(slot.index, cs_end - t_acq);
+    if (cs_gets > 0) accounting_.cs_gets(slot.index, cs_gets);
+    if (traced) {
+      telem->tracer().record(slot.index, obs::SpanPhase::kLockWait,
+                             head_start, t_acq - head_start);
+      telem->tracer().record(slot.index, obs::SpanPhase::kCriticalSection,
+                             t_acq, cs_end - t_acq);
     }
     // Batch-size capture after the release: the recorder's internal lock
     // must not extend the shard critical section. `count` is final — the
@@ -465,19 +467,27 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
     if (TraceRecorder* rec = recorder_.load(std::memory_order_relaxed)) {
       rec->on_batch(slot.shard, static_cast<std::uint32_t>(count));
     }
-    if (lock_free_gets) {
-      // Deferred gets: off-lock, after the puts published. Each still gets
-      // its own done stamp at the end of its own segment, so a get that
-      // waited behind two puts and another get pays for all three in its
-      // measured latency — the same segment rule as the CS pass.
-      for (std::size_t i = 0; i < count; ++i) {
-        const Request& req = batch[i].req;
-        if (req.op == OpType::kPut) continue;
-        spin_nops(slot.speed.scale_ncs(cost_.get.cs_nops));
-        (void)shard.engine->get(req.key);
-        batch[i].done = now_ns();
-        lockfree_gets_.fetch_add(1, std::memory_order_relaxed);
-      }
+  }
+  if (lock_free_gets) {
+    // Off-lock gets: the lone head, or the gets that rode a put-headed batch,
+    // after the puts published. The emulated service time is the get
+    // class's cs_nops at non-CS speed (the twin charges it under
+    // ncs_slowdown). Each get is done at the end of its own segment, so one
+    // that waited behind two puts and another get pays for all three in its
+    // measured latency — the same segment rule as the CS pass.
+    std::uint64_t gets = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const Request& req = batch[i].req;
+      if (req.op == OpType::kPut) continue;
+      spin_nops(slot.speed.scale_ncs(cost_.get.cs_nops));
+      (void)shard.engine->get(req.key);
+      batch[i].done = now_ns();
+      gets += 1;
+    }
+    if (gets > 0) accounting_.lockfree_gets(slot.index, gets);
+    if (traced && !locked) {
+      telem->tracer().record(slot.index, obs::SpanPhase::kCriticalSection,
+                             head_start, batch[0].done - head_start);
     }
   }
 
@@ -499,13 +509,7 @@ void KvService::serve_batch(const WorkerSlot& slot, const Request& head,
     } else {
       epoch_end(cs.epoch_id);
     }
-    cs.stats_lock.lock();
-    cs.completed += 1;
-    if (cs.spec.slo_ns == 0 || total <= cs.spec.slo_ns) cs.slo_met += 1;
-    cs.total.record(slot.type, total);
-    cs.queue_wait.record(batch[i].wait);
-    cs.stats_lock.unlock();
-    if (telem) telem->on_complete(slot.index, req.class_index, total);
+    accounting_.complete(slot.index, req.class_index, total, batch[i].wait);
     spin_nops(slot.speed.scale_ncs(
         cost_.op(req.op == OpType::kPut).post_nops));
   }

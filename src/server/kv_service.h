@@ -38,8 +38,8 @@
 
 #include "asl/libasl.h"
 #include "db/engine.h"
+#include "obs/metrics.h"
 #include "platform/cacheline.h"
-#include "platform/raw_spinlock.h"
 #include "platform/rng.h"
 #include "server/request_queue.h"
 #include "stats/histogram.h"
@@ -180,13 +180,12 @@ struct RequestClass {
   AdmissionPolicy admission{};
 };
 
-// Live-telemetry knobs (DESIGN.md §11). Default-off: a config that never
-// mentions telemetry builds no registry, spawns no sampler thread, and the
-// hot path's only cost is one null-pointer test per batch. With enabled =
-// true the service preallocates the whole observation pipeline at
-// construction (metrics slots, time-series capacity, span rings), so
-// recording and sampling stay allocation-free — the telemetry-on
-// kv_alloc_audit zero is part of the contract, not a separate mode.
+// Live-telemetry knobs (DESIGN.md §11). Default-off: no sampler thread, no
+// time series, no spans. The metrics are recorded either way — they are the
+// accounting store report() folds. With enabled = true the service
+// preallocates the rest of the pipeline at construction (time-series
+// capacity, span rings), so sampling and tracing stay allocation-free —
+// the telemetry-on kv_alloc_audit zero is part of the contract.
 struct TelemetryConfig {
   bool enabled = false;
   // Fold cadence of the sampler thread (real path) / of the virtual-time
@@ -245,6 +244,14 @@ struct KvServiceConfig {
   // schema in virtual time.
   TelemetryConfig telemetry;
 };
+
+// Construction-time clamping, shared by KvService and the twin: shard, worker
+// and queue minimums of 1, batch_k in [1, kMaxBatch], a default class.
+KvServiceConfig clamped_config(KvServiceConfig config);
+
+// How many of the num_shards * workers_per_shard workers are big: the first
+// big_workers of them (~0u = half, rounded up). Shared with the twin.
+std::uint32_t big_worker_count(const KvServiceConfig& config);
 
 // The per-op cost classes `config` actually runs with: the explicit profile
 // when set, otherwise the engine's checked-in default, either one scaled by
@@ -362,6 +369,89 @@ struct LockRouteStats {
   std::uint64_t lockfree_gets = 0;
 };
 
+// One class's admission counters. Any thread may submit, so they have no
+// writer slot and stay outside the accounting store.
+struct AdmissionCounts {
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected = 0;  // all bounces (shed included)
+  std::uint64_t shed = 0;      // watermark bounces only
+};
+
+// The service's one accounting store (DESIGN.md §4): a MetricsRegistry with
+// one slot per worker (per core type on the single-threaded twin); slots
+// [0, big_slots) are big-core writers, which is how folds split latency.
+// Everything a worker counts is recorded here by the slot's own writer.
+// fold_class() and routes() are the one fold report(), lock_route_stats(),
+// the twin and the telemetry sampler share — exact once writers quiesce.
+class KvAccounting {
+ public:
+  KvAccounting(const std::vector<RequestClass>& classes,
+               std::uint32_t num_slots, std::uint32_t big_slots);
+
+  // --- recording (wait-free, allocation-free) ---------------------------
+  // One served request: latency (whose count is `completed`), queue wait,
+  // and slo_met when the class has no SLO or the latency is within it.
+  void complete(std::uint32_t slot, std::uint32_t c, Nanos latency,
+                Nanos queue_wait) {
+    const ClassMetrics& m = classes_[c];
+    registry_.observe(m.latency, slot, latency);
+    registry_.observe(m.queue_wait, slot, queue_wait);
+    if (m.spec.slo_ns == 0 || latency <= m.spec.slo_ns) {
+      registry_.add(m.slo_met, slot, 1);
+    }
+  }
+  // One shard-lock acquisition, attributed to its batch head's op kind.
+  void acquisition(std::uint32_t slot, bool put_headed) {
+    registry_.add(put_headed ? put_route_ : get_route_, slot, 1);
+  }
+  // Shard-lock wait (request -> acquisition) and hold of one acquisition.
+  void lock_wait(std::uint32_t slot, Nanos wait) {
+    registry_.observe(lock_wait_, slot, wait);
+  }
+  void lock_hold(std::uint32_t slot, Nanos hold) {
+    registry_.observe(lock_hold_, slot, hold);
+  }
+  // Gets served inside a critical section / off-lock (DESIGN.md §8).
+  void cs_gets(std::uint32_t slot, std::uint64_t n) {
+    registry_.add(cs_gets_, slot, n);
+  }
+  void lockfree_gets(std::uint32_t slot, std::uint64_t n) {
+    registry_.add(lockfree_gets_, slot, n);
+  }
+
+  // --- folds -------------------------------------------------------------
+  // Class `c`'s report from the store and the caller's admission counters,
+  // clamped so shed <= rejected and slo_met <= completed.
+  ClassReport fold_class(std::uint32_t c,
+                         const AdmissionCounts& admitted) const;
+  LockRouteStats routes() const {
+    return {registry_.fold(get_route_), registry_.fold(put_route_),
+            registry_.fold(cs_gets_), registry_.fold(lockfree_gets_)};
+  }
+
+  const obs::MetricsRegistry& registry() const { return registry_; }
+  obs::MetricId latency_metric(std::uint32_t c) const {
+    return classes_[c].latency;
+  }
+  obs::MetricId lock_wait_metric() const { return lock_wait_; }
+  obs::MetricId lock_hold_metric() const { return lock_hold_; }
+
+ private:
+  struct ClassMetrics {
+    RequestClass spec;
+    obs::MetricId latency = 0;     // histogram: end-to-end latency
+    obs::MetricId queue_wait = 0;  // histogram: admission -> service start
+    obs::MetricId slo_met = 0;     // counter
+  };
+
+  obs::MetricsRegistry registry_;
+  std::uint32_t big_slots_;
+  std::vector<ClassMetrics> classes_;
+  obs::MetricId get_route_ = 0, put_route_ = 0;  // counters: LockRouteStats
+  obs::MetricId cs_gets_ = 0, lockfree_gets_ = 0;
+  obs::MetricId lock_wait_ = 0, lock_hold_ = 0;  // histograms
+};
+
 class TraceRecorder;  // workload/trace.h
 
 class KvService {
@@ -406,21 +496,18 @@ class KvService {
   std::size_t queue_depth(std::uint32_t shard) const;
   // Total keys stored across all shard engines (prefill + completed puts).
   std::size_t store_size() const;
-  // Worker-slot count: num_shards * workers_per_shard, fixed at
-  // construction whether or not start() ever ran.
-  std::uint32_t num_workers() const;
-  // The effective configuration after construction-time clamping (shard/
-  // worker minimums, batch_k in [1, kMaxBatch], default class injection).
+  // The effective configuration after clamped_config().
   const KvServiceConfig& config() const { return config_; }
 
-  // Merged per-class accounting snapshot. Safe to call at any time; after
-  // stop() it is quiescent and satisfies completed == accepted per class.
+  // Per-class snapshot, folded from the accounting store and the admission
+  // counters. Lock-free and safe at any time; after stop() it is quiescent
+  // and satisfies completed == accepted per class.
   ServiceReport report() const;
 
-  // Route accounting (see LockRouteStats). On a get_lock_free profile
-  // get_route_acquires stays 0 and cs_gets stays 0 — every get is served
-  // off-lock.
-  LockRouteStats lock_route_stats() const;
+  // Route accounting (see LockRouteStats), folded from the same store. On a
+  // get_lock_free profile get_route_acquires stays 0 and cs_gets stays 0 —
+  // every get is served off-lock.
+  LockRouteStats lock_route_stats() const { return accounting_.routes(); }
 
   // Attach a trace recorder (workload/trace.h, DESIGN.md §10): every
   // subsequent try_submit's admission decision + shard route and every
@@ -437,7 +524,6 @@ class KvService {
   // returned (the sampler's final tick and the worker joins both precede
   // it); mid-run reads see a racing-but-valid snapshot.
   const KvTelemetry* telemetry() const { return telemetry_.get(); }
-  KvTelemetry* telemetry() { return telemetry_.get(); }
   // Wall-clock origin of the telemetry time axis (start() instant) — the
   // epoch write_chrome_trace rebases span timestamps against.
   Nanos telemetry_epoch_ns() const { return telemetry_start_ns_; }
@@ -456,25 +542,15 @@ class KvService {
     std::unique_ptr<db::KvEngine> engine;
   };
 
-  // Split by writer population: the admission counters are bumped by
-  // submitter threads on every try_submit, the completion stats by worker
-  // threads under stats_lock — putting each group on its own line keeps the
-  // load generator and the workers from false-sharing, and both away from
-  // the read-only spec words.
+  // Submitters bump the admission counters; their own line keeps the load
+  // generator off the spec words workers read.
   struct ClassState {
     RequestClass spec;
     int epoch_id = -1;
     std::size_t depth_limit = 0;  // shed_threshold(spec.admission, capacity)
-    // Submitter side.
     alignas(kCacheLine) std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> rejected{0};  // all bounces (shed included)
     std::atomic<std::uint64_t> shed{0};      // watermark bounces only
-    // Worker side.
-    alignas(kCacheLine) mutable RawSpinLock stats_lock;
-    std::uint64_t completed = 0;  // guarded by stats_lock
-    std::uint64_t slo_met = 0;
-    LatencySplit total;
-    Histogram queue_wait;
   };
 
   // Read-only per-worker configuration, one private line each: slots_ is a
@@ -500,9 +576,9 @@ class KvService {
   // head's before the acquisition); the arena is recycled before return.
   void serve_batch(const WorkerSlot& slot, const Request& head,
                    ValueArena& arena);
-  // One sampler fold: snapshots the admission counters, queue depths and
-  // route counters into the preallocated tick scratch and hands them to the
-  // telemetry layer. Allocation-free (kv_alloc_audit runs telemetry-on).
+  // One sampler fold: snapshots the admission counters and queue depths
+  // into the telemetry layer's scratch, which folds the rest from
+  // accounting_. Allocation-free (kv_alloc_audit runs telemetry-on).
   void telemetry_tick(Nanos now);
 
   KvServiceConfig config_;
@@ -511,12 +587,8 @@ class KvService {
   // race benignly with in-flight submits/workers; callers attach before
   // traffic for a complete recording.
   std::atomic<TraceRecorder*> recorder_{nullptr};
-  // Route counters: worker-side only, grouped on their own line away from
-  // the read-mostly config/cost words above.
-  alignas(kCacheLine) std::atomic<std::uint64_t> get_route_acquires_{0};
-  std::atomic<std::uint64_t> put_route_acquires_{0};
-  std::atomic<std::uint64_t> cs_gets_{0};
-  std::atomic<std::uint64_t> lockfree_gets_{0};
+  // The one accounting store: worker w records into slot w.
+  KvAccounting accounting_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<ClassState>> classes_;
   std::vector<WorkerSlot> slots_;
@@ -531,13 +603,9 @@ class KvService {
   std::atomic<bool> stopped_{false};
   // Telemetry (null when disabled). The sampler starts after the workers
   // spawn and stops after they join — its final tick is the one sample
-  // guaranteed to observe drained queues and final counters. The tick
-  // scratch vectors are sized at construction so folds never allocate.
+  // guaranteed to observe drained queues and final counters.
   std::unique_ptr<KvTelemetry> telemetry_;
   std::unique_ptr<obs::Sampler> sampler_;
-  std::vector<std::uint64_t> tick_accepted_;
-  std::vector<std::uint64_t> tick_shed_;
-  std::vector<std::uint64_t> tick_depth_;
   Nanos telemetry_start_ns_ = 0;
 };
 

@@ -35,10 +35,11 @@ struct SimKvService::Impl {
 
   // One worker per simulated core (the twin of pin_workers): same slot
   // assignment rule as KvService — worker w serves shard w % num_shards,
-  // the first big_workers slots are big.
+  // the first big_worker_count slots are big.
   struct Worker {
     std::uint32_t index = 0;
     std::uint32_t shard = 0;
+    std::uint32_t slot = 0;  // accounting slot: 0 big, 1 little
     sim::Core core{};
     sim::SimThread sim{};
     // Per-(worker, class) AIMD controllers — the twin of the real service's
@@ -50,13 +51,7 @@ struct SimKvService::Impl {
   struct ClassState {
     RequestClass spec;
     std::size_t depth_limit = 0;  // shed_threshold(spec.admission, capacity)
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected = 0;  // all bounces (shed included)
-    std::uint64_t shed = 0;      // watermark bounces only
-    std::uint64_t completed = 0;
-    std::uint64_t slo_met = 0;
-    LatencySplit total;
-    Histogram queue_wait;
+    AdmissionCounts admitted;
   };
 
   KvServiceConfig config;
@@ -67,14 +62,15 @@ struct SimKvService::Impl {
   std::vector<std::unique_ptr<Shard>> shards;
   std::vector<std::unique_ptr<Worker>> workers;
   std::vector<ClassState> classes;
-  LockRouteStats routes;
-  std::uint64_t allocs_charged = 0;  // sum of per-op CostProfile allocs
+  // The accounting store and fold KvService uses. The twin is single-
+  // threaded, so it needs one slot per core type rather than one per
+  // worker: slot 0 is every big worker's, slot 1 every little worker's.
+  KvAccounting accounting;
   TraceRecorder* recorder = nullptr;  // not owned; null = no recording
   bool ran = false;
   // Telemetry in virtual time (DESIGN.md §11): the same KvTelemetry the
-  // real path folds, single slot (the twin is single-threaded).
+  // real path samples, over the same kind of store.
   std::unique_ptr<KvTelemetry> telemetry;
-  std::vector<std::uint64_t> tick_accepted, tick_shed, tick_depth;
   // Virtual instant of the last *service* event (arrival or work
   // completion). Telemetry ticks are engine events too, but they must not
   // move the reported drain time — drained_at reads this clock, which tick
@@ -84,21 +80,10 @@ struct SimKvService::Impl {
   void touch() { work_clock = eng.now(); }
 
   Impl(KvServiceConfig cfg, SimTwinConfig tw)
-      : config(std::move(cfg)), twin(std::move(tw)), rng(twin.seed) {
-    if (config.num_shards < 1) config.num_shards = 1;
-    if (config.workers_per_shard < 1) config.workers_per_shard = 1;
-    // The real path's BoundedQueue clamps capacity to 1; the twin must
-    // admit under the same bound or a zero-capacity config would diverge
-    // (reject-everything here vs serve-everything there). Same story for
-    // batch_k: both paths clamp to [1, kMaxBatch].
-    if (config.queue_capacity < 1) config.queue_capacity = 1;
-    if (config.batch_k < 1) config.batch_k = 1;
-    if (config.batch_k > kMaxBatch) {
-      config.batch_k = static_cast<std::uint32_t>(kMaxBatch);
-    }
-    if (config.classes.empty()) {
-      config.classes.push_back(RequestClass{"kv-default", 0});
-    }
+      : config(clamped_config(std::move(cfg))),
+        twin(std::move(tw)),
+        rng(twin.seed),
+        accounting(config.classes, /*num_slots=*/2, /*big_slots=*/1) {
     // Same per-op cost resolution as the real service (engine registry
     // default unless the config carries an explicit profile, then
     // cost_scale): the twin charges the classes the real path spins.
@@ -121,12 +106,12 @@ struct SimKvService::Impl {
     }
 
     const std::uint32_t n = config.num_shards * config.workers_per_shard;
-    std::uint32_t num_big = config.big_workers;
-    if (num_big == ~0u) num_big = (n + 1) / 2;
+    const std::uint32_t num_big = big_worker_count(config);
     for (std::uint32_t w = 0; w < n; ++w) {
       auto worker = std::make_unique<Worker>();
       worker->index = w;
       worker->shard = w % config.num_shards;
+      worker->slot = w < num_big ? 0 : 1;
       worker->core.id = w;
       worker->core.type = w < num_big ? CoreType::kBig : CoreType::kLittle;
       worker->core.runnable = 1;
@@ -141,30 +126,22 @@ struct SimKvService::Impl {
     }
 
     if (config.telemetry.enabled) {
-      telemetry = std::make_unique<KvTelemetry>(config, /*num_slots=*/1);
-      tick_accepted.resize(classes.size());
-      tick_shed.resize(classes.size());
-      tick_depth.resize(shards.size());
+      telemetry = std::make_unique<KvTelemetry>(config, accounting);
     }
   }
 
   // One virtual-time sampler fold at telemetry time `t` — the twin of
   // KvService::telemetry_tick, reading the Impl counters directly.
   void sample_tick(Nanos t) {
+    TelemetryTickInputs& in = telemetry->inputs();
     for (std::size_t c = 0; c < classes.size(); ++c) {
-      tick_accepted[c] = classes[c].accepted;
-      tick_shed[c] = classes[c].shed;
+      in.class_accepted[c] = classes[c].admitted.accepted;
+      in.class_shed[c] = classes[c].admitted.shed;
     }
     for (std::size_t s = 0; s < shards.size(); ++s) {
-      tick_depth[s] = shards[s]->queue.size();
+      in.shard_depth[s] = shards[s]->queue.size();
     }
-    TelemetryTickInputs in;
-    in.class_accepted = tick_accepted.data();
-    in.class_shed = tick_shed.data();
-    in.shard_depth = tick_depth.data();
-    in.lock_acquires = routes.get_route_acquires + routes.put_route_acquires;
-    in.lockfree_gets = routes.lockfree_gets;
-    telemetry->fold_tick(t, in);
+    telemetry->fold_tick(t);
   }
 
   // Pre-posts one tick event per sample period over the arrival window (the
@@ -186,16 +163,8 @@ struct SimKvService::Impl {
   // time. The op kind selects the class (DESIGN.md §7) — this is where the
   // old flat cs_nops fold used to live.
   sim::Time cs_time(CoreType type, bool is_put) const {
-    // The per-op allocation charge (allocs * alloc_ns, DESIGN.md §9) rides
-    // on the op's service segment and stretches with the same slowdown the
-    // segment runs under: the allocation happens inside the engine call.
-    // With the default alloc_ns = 0.0 this term vanishes and the formula is
-    // the historic NOP fold.
-    const double ns = (static_cast<double>(cost.op(is_put).cs_nops) *
-                           twin.nop_ns +
-                       static_cast<double>(cost.op(is_put).allocs) *
-                           twin.alloc_ns) *
-                      twin.machine.cs_slowdown(type);
+    const double ns = static_cast<double>(cost.op(is_put).cs_nops) *
+                      twin.nop_ns * twin.machine.cs_slowdown(type);
     return ns < 1.0 ? sim::Time{1} : static_cast<sim::Time>(ns);
   }
   sim::Time post_time(CoreType type, bool is_put) const {
@@ -206,12 +175,24 @@ struct SimKvService::Impl {
   // Lock-free get service time (DESIGN.md §8): the get class's cs_nops are
   // still the latency-visible read, but they run off-lock at non-CS speed —
   // the twin of the real worker's scale_ncs spin on the lock-free route.
-  // The get class's allocation charge moves off-lock with it.
   sim::Time lockfree_get_time(CoreType type) const {
-    const double ns = (static_cast<double>(cost.get.cs_nops) * twin.nop_ns +
-                       static_cast<double>(cost.get.allocs) * twin.alloc_ns) *
+    const double ns = static_cast<double>(cost.get.cs_nops) * twin.nop_ns *
                       twin.machine.ncs_slowdown(type);
     return ns < 1.0 ? sim::Time{1} : static_cast<sim::Time>(ns);
+  }
+
+  // One served request's bookkeeping at the end of its service segment: the
+  // shard's completion count, the accounting store, and the class
+  // controller's feedback (the real worker's epoch_end_with_latency).
+  void complete(Worker& worker, Shard& shard, const SimRequest& req,
+                Nanos queue_wait) {
+    const Nanos total = eng.now() - req.at;
+    const Nanos slo = classes[req.class_index].spec.slo_ns;
+    shard.stats.completed += 1;
+    accounting.complete(worker.slot, req.class_index, total, queue_wait);
+    if (slo > 0 && DispatchPolicy::updates_window(worker.core.type)) {
+      worker.controllers[req.class_index].on_epoch_end(total, slo);
+    }
   }
 
   void flush_depth(Shard& shard) {
@@ -243,20 +224,20 @@ struct SimKvService::Impl {
                            decision, shard_index);
     }
     if (decision == TraceDecision::kReject) {
-      cls.rejected += 1;
+      cls.admitted.rejected += 1;
       shard.stats.rejected += 1;
       return decision;
     }
     if (decision == TraceDecision::kShed) {
-      cls.shed += 1;
-      cls.rejected += 1;
+      cls.admitted.shed += 1;
+      cls.admitted.rejected += 1;
       shard.stats.rejected += 1;
       shard.stats.shed += 1;
       return decision;
     }
     flush_depth(shard);
     shard.queue.push_back(req);
-    cls.accepted += 1;
+    cls.admitted.accepted += 1;
     shard.stats.accepted += 1;
     shard.stats.max_depth =
         std::max<std::uint64_t>(shard.stats.max_depth, shard.queue.size());
@@ -290,44 +271,17 @@ struct SimKvService::Impl {
     if (cost.get_lock_free && !head.is_put) {
       // Lock-free get route — the twin of the real worker's solo off-lock
       // serve: no simulated acquisition, no batch extension, no dispatch-
-      // window decision (there is no lock to reorder around). The read
-      // occupies the worker for lockfree_get_time, then the usual
-      // accounting / feedback / post-op sequence runs at the same joints
-      // as a one-request locked batch.
-      routes.lockfree_gets += 1;
-      allocs_charged += cost.get.allocs;
-      eng.after(lockfree_get_time(worker.core.type),
-                [this, &worker, &shard, head, head_wait] {
-        touch();
-        ClassState& cls = classes[head.class_index];
-        const Nanos total = eng.now() - head.at;
-        cls.completed += 1;
-        shard.stats.completed += 1;
-        if (cls.spec.slo_ns == 0 || total <= cls.spec.slo_ns) {
-          cls.slo_met += 1;
-        }
-        cls.total.record(worker.core.type, total);
-        cls.queue_wait.record(head_wait);
-        if (telemetry) telemetry->on_complete(0, head.class_index, total);
-        if (cls.spec.slo_ns > 0 &&
-            DispatchPolicy::updates_window(worker.core.type)) {
-          worker.controllers[head.class_index].on_epoch_end(total,
-                                                            cls.spec.slo_ns);
-        }
-        eng.after(post_time(worker.core.type, /*is_put=*/false),
-                  [this, &worker, &shard] {
-          touch();
-          if (!shard.queue.empty()) {
-            dispatch(worker);
-          } else {
-            worker.busy = false;
-          }
-        });
-      });
+      // window decision (there is no lock to reorder around). It is a
+      // one-request batch with no critical-section members, so the read
+      // occupies the worker for lockfree_get_time and the usual
+      // accounting / feedback / post-op sequence follows.
+      serve_segment(worker, shard,
+                    std::make_shared<std::vector<Pending>>(
+                        1, Pending{head, head_wait}),
+                    0, /*cs_count=*/0, /*acquired_at=*/0);
       return;
     }
-    (head.is_put ? routes.put_route_acquires : routes.get_route_acquires) +=
-        1;
+    accounting.acquisition(worker.slot, head.is_put);
 
     // The real worker wraps the shard critical section in epoch_start /
     // epoch_end_with_latency; the twin consumes the same DispatchPolicy and
@@ -350,7 +304,7 @@ struct SimKvService::Impl {
         [this, &worker, &shard, head, head_wait, lock_req_at] {
           touch();
           const Nanos acquired_at = eng.now();
-          if (telemetry) telemetry->on_lock_wait(0, acquired_at - lock_req_at);
+          accounting.lock_wait(worker.slot, acquired_at - lock_req_at);
           // Batch extension at acquisition time — the twin of the real
           // worker's try_pop loop after lock.lock(): requests already
           // waiting when the lock was won ride along, one simulated lock
@@ -407,35 +361,16 @@ struct SimKvService::Impl {
     const sim::Time span = in_cs
                                ? cs_time(worker.core.type, (*batch)[i].req.is_put)
                                : lockfree_get_time(worker.core.type);
-    if (!in_cs) routes.lockfree_gets += 1;
-    if (in_cs && !(*batch)[i].req.is_put) routes.cs_gets += 1;
-    // Ledger entry regardless of alloc_ns: the count is the twin-side
-    // assertion surface for the zero-allocation contract (DESIGN.md §9).
-    allocs_charged +=
-        in_cs ? cost.op((*batch)[i].req.is_put).allocs : cost.get.allocs;
+    if (!in_cs) accounting.lockfree_gets(worker.slot, 1);
+    if (in_cs && !(*batch)[i].req.is_put) accounting.cs_gets(worker.slot, 1);
     eng.after(span, [this, &worker, &shard, batch, i, cs_count, acquired_at] {
       touch();
-      const Pending& served = (*batch)[i];
-      ClassState& cls = classes[served.req.class_index];
-      const Nanos total = eng.now() - served.req.at;
-      cls.completed += 1;
-      shard.stats.completed += 1;
-      if (cls.spec.slo_ns == 0 || total <= cls.spec.slo_ns) {
-        cls.slo_met += 1;
-      }
-      cls.total.record(worker.core.type, total);
-      cls.queue_wait.record(served.wait);
-      if (telemetry) telemetry->on_complete(0, served.req.class_index, total);
-      if (cls.spec.slo_ns > 0 &&
-          DispatchPolicy::updates_window(worker.core.type)) {
-        worker.controllers[served.req.class_index].on_epoch_end(
-            total, cls.spec.slo_ns);
-      }
+      complete(worker, shard, (*batch)[i].req, (*batch)[i].wait);
       // Release at the CS boundary: after the last critical-section member,
       // whether or not deferred off-lock gets follow (when cs_count ==
       // batch size this is the historic release-after-last-segment).
       if (i + 1 == cs_count) {
-        if (telemetry) telemetry->on_lock_hold(0, eng.now() - acquired_at);
+        accounting.lock_hold(worker.slot, eng.now() - acquired_at);
         shard.lock->release(&worker.sim);
       }
       if (i + 1 < batch->size()) {
@@ -459,9 +394,10 @@ struct SimKvService::Impl {
     });
   }
 
-  // Snapshot after run_all(): per-class reports, shard stats, routes, the
-  // allocation ledger — shared verbatim by run() and replay() so both
-  // emit byte-identical tables for identical executions.
+  // Snapshot after run_all(): per-class reports and routes folded from the
+  // accounting store (the fold KvService::report() uses), plus shard stats
+  // — shared verbatim by run() and replay() so both emit byte-identical
+  // tables for identical executions.
   void collect(SimServiceReport& report) {
     // work_clock, not eng.now(): the last service event defines the drain
     // instant. With telemetry off they are the same clock; with telemetry on
@@ -475,25 +411,15 @@ struct SimKvService::Impl {
       report.telemetry = telemetry->log();
     }
     for (auto& shard : shards) flush_depth(*shard);
-    for (const ClassState& cs : classes) {
-      ClassReport c;
-      c.name = cs.spec.name;
-      c.epoch_id = -1;  // the twin does not touch the global EpochRegistry
-      c.slo_ns = cs.spec.slo_ns;
-      c.accepted = cs.accepted;
-      c.rejected = cs.rejected;
-      c.shed = cs.shed;
-      c.completed = cs.completed;
-      c.slo_met = cs.slo_met;
-      c.total = cs.total;
-      c.queue_wait = cs.queue_wait;
-      report.service.classes.push_back(std::move(c));
+    // epoch_id stays -1: the twin does not touch the global EpochRegistry.
+    for (std::uint32_t c = 0; c < classes.size(); ++c) {
+      report.service.classes.push_back(
+          accounting.fold_class(c, classes[c].admitted));
     }
     for (const auto& shard : shards) {
       report.shards.push_back(shard->stats);
     }
-    report.lock_routes = routes;
-    report.allocs_charged = allocs_charged;
+    report.lock_routes = accounting.routes();
   }
 };
 

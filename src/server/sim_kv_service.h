@@ -64,14 +64,6 @@ struct SimTwinConfig {
   // Virtual ns per emulated NOP on a big core (experiment.h's "1 NOP ~
   // 0.4 ns" calibration); little cores stretch by the machine slowdowns.
   double nop_ns = 0.4;
-  // Virtual ns per steady-state heap allocation (the CostProfile's per-op
-  // `allocs` count, DESIGN.md §9), charged on the op's service segment.
-  // Defaults to 0.0 — the allocation *count* is always tracked in the
-  // report, but it only bends virtual time when a scenario opts in (e.g.
-  // to model allocator contention at scale), which keeps the checked-in
-  // goldens byte-identical. ~25 ns is a reasonable malloc/free round trip
-  // on the reference host if fidelity to a pre-arena build is wanted.
-  double alloc_ns = 0.0;
   // Seeds the simulated lock's tie-breaking randomness (barge races, grant
   // penalties) — part of the twin's deterministic identity.
   std::uint64_t seed = 42;
@@ -109,11 +101,6 @@ struct SimServiceReport {
   // simulated lock acquisition — get_route_acquires == 0 and cs_gets == 0
   // is the assertable twin half of the lock-free contract (DESIGN.md §8).
   LockRouteStats lock_routes;
-  // Heap-allocation budget the run charged: sum over completed ops of their
-  // class's CostProfile allocs count (DESIGN.md §9). Zero for hash/btree/
-  // mvcc configs — the twin's ledger of the real path's zero-allocation
-  // contract — and completed * per-op count for lsm.
-  std::uint64_t allocs_charged = 0;
   // Telemetry time series sampled in virtual time (DESIGN.md §11): the same
   // schema KvTelemetry emits on the real path, one tick per
   // telemetry.sample_period_ns over the horizon plus one final tick at the
@@ -176,8 +163,7 @@ class SimKvService {
   // Identical mapping to KvService::shard_of (shared shard_for_key rule).
   std::uint32_t shard_of(std::uint64_t key) const;
 
-  // The effective configuration after the same clamping KvService applies
-  // (queue capacity >= 1, batch_k in [1, kMaxBatch], default class).
+  // The effective configuration after clamped_config(), as on KvService.
   const KvServiceConfig& config() const;
 
  private:

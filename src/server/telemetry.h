@@ -1,19 +1,14 @@
 // KvTelemetry — the service-side telemetry bundle (DESIGN.md §11): one
-// metrics registry + one time-series log + one span tracer, wired to the
-// KV service's schema.
+// time-series log + one span tracer, sampling the service's accounting
+// store (KvAccounting, kv_service.h) into the KV service's series schema.
 //
-// Split of responsibilities with the service:
-//   * the *hot path* calls on_complete / on_lock_wait / on_lock_hold —
-//     each is one or two relaxed atomic RMWs into the registry's per-slot
-//     cells (wait-free, allocation-free; the telemetry-on kv_alloc_audit
-//     zero depends on it);
-//   * the *sampler* (a real thread on the real path, virtual-time tick
-//     events on the twin) calls fold_tick with a TelemetryTickInputs
-//     snapshot of the counters the service already owns (admission,
-//     queue depths, lock routes) — fold_tick sums the registry slots,
-//     computes windowed p99s from per-tick bucket deltas, and appends one
-//     point per series. All fold scratch is preallocated here, so a tick
-//     never allocates either.
+// It records nothing itself: workers record into the store, telemetry on or
+// off. The *sampler* (a real thread on the real path, virtual-time tick
+// events on the twin) fills inputs() with the counters that live outside
+// the store (admission, queue depths) and calls fold_tick, which folds the
+// store, computes windowed p99s from per-tick bucket deltas, and appends one
+// point per series. All fold scratch is preallocated, so a tick never
+// allocates. Traced requests record their phase spans into tracer().
 //
 // Series schema (canonical order, identical on the real path and the twin
 // so the twin's virtual-time CSV is goldenable against this layout):
@@ -40,74 +35,57 @@
 namespace asl::server {
 
 struct KvServiceConfig;
+class KvAccounting;
 
-// One sampler fold's view of the counters the *service* owns (the registry
-// covers only what workers record directly). Pointers refer to the caller's
-// preallocated scratch, valid for the duration of the fold_tick call.
+// One sampler fold's view of the counters that live outside the
+// accounting store, preallocated by KvTelemetry and filled by the service
+// right before each fold_tick.
 struct TelemetryTickInputs {
-  const std::uint64_t* class_accepted = nullptr;  // [num_classes]
-  const std::uint64_t* class_shed = nullptr;      // [num_classes]
-  const std::uint64_t* shard_depth = nullptr;     // [num_shards]
-  std::uint64_t lock_acquires = 0;
-  std::uint64_t lockfree_gets = 0;
+  std::vector<std::uint64_t> class_accepted;  // [num_classes]
+  std::vector<std::uint64_t> class_shed;      // [num_classes]
+  std::vector<std::uint64_t> shard_depth;     // [num_shards]
 };
 
 class KvTelemetry {
  public:
-  // Builds and freezes the whole pipeline for `config` (post-clamping, so
-  // classes is non-empty) with `num_slots` writer identities. Every
-  // allocation the telemetry layer will ever make happens here.
-  KvTelemetry(const KvServiceConfig& config, std::uint32_t num_slots);
+  // Builds the series and span rings for `config` (post-clamping, so
+  // classes is non-empty) over `store`, which must outlive this object.
+  // Every allocation the telemetry layer will ever make happens here.
+  KvTelemetry(const KvServiceConfig& config, const KvAccounting& store);
   KvTelemetry(const KvTelemetry&) = delete;
   KvTelemetry& operator=(const KvTelemetry&) = delete;
 
-  // --- hot path (worker threads; wait-free, allocation-free) -------------
-  void on_complete(std::uint32_t slot, std::uint32_t class_index,
-                   Nanos latency_ns) {
-    registry_.add(class_completed_[class_index], slot, 1);
-    registry_.observe(class_latency_[class_index], slot,
-                      static_cast<std::uint64_t>(latency_ns));
-  }
-  void on_lock_wait(std::uint32_t slot, Nanos wait_ns) {
-    registry_.observe(lock_wait_, slot, static_cast<std::uint64_t>(wait_ns));
-  }
-  void on_lock_hold(std::uint32_t slot, Nanos hold_ns) {
-    registry_.observe(lock_hold_, slot, static_cast<std::uint64_t>(hold_ns));
-  }
-
-  // --- sampler side ------------------------------------------------------
   // Appends one point to every series at time `t` (ns on the telemetry time
   // axis — wall-clock-since-start() on the real path, virtual time on the
-  // twin). Single-threaded by contract: the real Sampler serializes its
-  // ticks, the twin is single-threaded by construction.
-  void fold_tick(Nanos t, const TelemetryTickInputs& in);
+  // twin), reading inputs(). Single-threaded by contract: the real Sampler
+  // serializes its ticks, the twin is single-threaded by construction.
+  TelemetryTickInputs& inputs() { return in_; }
+  void fold_tick(Nanos t);
 
   std::uint64_t ticks() const { return ticks_; }
   const obs::TimeSeriesLog& log() const { return log_; }
   const obs::SpanTracer& tracer() const { return tracer_; }
   obs::SpanTracer& tracer() { return tracer_; }
-  const obs::MetricsRegistry& registry() const { return registry_; }
+  // The accounting store's registry (`lock.wait_ns`, `lock.hold_ns`, ...).
+  const obs::MetricsRegistry& registry() const;
 
  private:
-  // p99 over one tick's worth of a histogram metric: fold the registry's
-  // buckets, diff against the previous tick's fold, quantile the delta.
-  std::uint64_t windowed_p99(std::size_t hist_index, obs::MetricId id);
+  // One tick's worth of a histogram metric: fold the store's buckets, diff
+  // against the previous tick's fold, and return the delta's p99. The
+  // cumulative observation count lands in *count when non-null.
+  std::uint64_t windowed_p99(std::size_t hist_index, obs::MetricId id,
+                             std::uint64_t* count = nullptr);
 
-  obs::MetricsRegistry registry_;
+  const KvAccounting& store_;
+  TelemetryTickInputs in_;
   obs::TimeSeriesLog log_;
   obs::SpanTracer tracer_;
 
-  // Registry metric ids (what workers record).
-  std::vector<obs::MetricId> class_completed_;  // counter per class
-  std::vector<obs::MetricId> class_latency_;    // histogram per class
-  obs::MetricId lock_wait_ = 0;                 // histogram
-  obs::MetricId lock_hold_ = 0;                 // histogram
-
   // Series ids, in schema order.
-  std::vector<obs::TimeSeriesLog::SeriesId> s_class_accepted_;
-  std::vector<obs::TimeSeriesLog::SeriesId> s_class_completed_;
-  std::vector<obs::TimeSeriesLog::SeriesId> s_class_shed_;
-  std::vector<obs::TimeSeriesLog::SeriesId> s_class_p99_;
+  struct ClassSeries {
+    obs::TimeSeriesLog::SeriesId accepted, completed, shed, p99;
+  };
+  std::vector<ClassSeries> s_class_;
   std::vector<obs::TimeSeriesLog::SeriesId> s_shard_depth_;
   obs::TimeSeriesLog::SeriesId s_lock_acquires_ = 0;
   obs::TimeSeriesLog::SeriesId s_lock_wait_p99_ = 0;

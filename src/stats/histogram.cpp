@@ -2,10 +2,18 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 namespace asl {
 
 Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
+
+Histogram::Histogram(std::vector<std::uint64_t> buckets, std::uint64_t sum,
+                     std::uint64_t min, std::uint64_t max)
+    : buckets_(std::move(buckets)), sum_(sum), max_(max), min_(min) {
+  buckets_.resize(kNumBuckets, 0);
+  for (std::uint64_t n : buckets_) total_ += n;
+}
 
 std::uint32_t Histogram::bucket_index(std::uint64_t value) {
   // Values below kSubBuckets map linearly (octave 0 is exact).

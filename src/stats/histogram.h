@@ -22,6 +22,12 @@ class Histogram {
 
   Histogram();
 
+  // The histogram a folded recording describes (obs::MetricsRegistry::
+  // fold_histogram): kNumBuckets bucket counts, whose sum is the count, plus
+  // the observations' sum, min and max.
+  Histogram(std::vector<std::uint64_t> buckets, std::uint64_t sum,
+            std::uint64_t min, std::uint64_t max);
+
   // Record one observation (e.g. latency in ns). Saturates at the top bucket.
   void record(std::uint64_t value);
 

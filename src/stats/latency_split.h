@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "platform/topology.h"
 #include "stats/histogram.h"
@@ -11,6 +12,14 @@ namespace asl {
 
 class LatencySplit {
  public:
+  LatencySplit() = default;
+  // The split of two separately folded halves: overall is their merge, so
+  // big().count() + little().count() == overall().count() by construction.
+  LatencySplit(Histogram big, Histogram little)
+      : overall_(big), big_(std::move(big)), little_(std::move(little)) {
+    overall_.merge(little_);
+  }
+
   void record(CoreType type, std::uint64_t latency_ns) {
     overall_.record(latency_ns);
     (type == CoreType::kBig ? big_ : little_).record(latency_ns);

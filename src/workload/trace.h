@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "platform/raw_spinlock.h"
 #include "server/kv_service.h"
 
 namespace asl::server {

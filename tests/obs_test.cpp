@@ -22,6 +22,7 @@
 #include "obs/span_tracer.h"
 #include "obs/timeseries_log.h"
 #include "stats/histogram.h"
+#include "stats/latency_split.h"
 
 namespace asl::obs {
 namespace {
@@ -66,13 +67,40 @@ TEST(MetricsRegistry, MetricsOfTheSameKindDoNotAlias) {
   EXPECT_EQ(reg.fold_buckets(h2, buckets.data()), 0u);
 }
 
+// Every observable of `folded` equals `oracle`'s: the count, sum-derived
+// mean, min, max, the quantiles, and the CDF (which walks every non-empty
+// bucket).
+void expect_same_histogram(const Histogram& folded, const Histogram& oracle,
+                           const char* what) {
+  EXPECT_EQ(folded.count(), oracle.count()) << what;
+  EXPECT_EQ(folded.mean(), oracle.mean()) << what;
+  EXPECT_EQ(folded.min(), oracle.min()) << what;
+  EXPECT_EQ(folded.max(), oracle.max()) << what;
+  EXPECT_EQ(folded.p50(), oracle.p50()) << what;
+  EXPECT_EQ(folded.p99(), oracle.p99()) << what;
+  EXPECT_EQ(folded.p999(), oracle.p999()) << what;
+  const std::vector<Histogram::CdfPoint> a = folded.cdf();
+  const std::vector<Histogram::CdfPoint> b = oracle.cdf();
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].value, b[i].value) << what << " cdf point " << i;
+    EXPECT_EQ(a[i].cumulative, b[i].cumulative) << what << " cdf point " << i;
+  }
+}
+
 TEST(MetricsRegistry, HistogramFoldMatchesSingleHistogramOracle) {
   MetricsRegistry reg(4);
   const MetricId h = reg.histogram("lat");
   reg.freeze();
   // The same observations recorded into one plain Histogram must land in
-  // the same buckets the registry's per-slot cells fold into.
+  // the same buckets the registry's per-slot cells fold into — and the
+  // folded Histogram (buckets plus per-slot sum/min/max) must equal that
+  // oracle in every observable. Slots {0,1} play the big-core writers and
+  // {2,3} the little ones, so slot-subset folds must equal a LatencySplit
+  // that recorded the same stream by core type. The twin goldens'
+  // byte-identity rests on this property.
   Histogram oracle;
+  LatencySplit split_oracle;
   std::vector<std::uint64_t> expected(Histogram::kNumBuckets, 0);
   std::uint64_t max_seen = 0;
   std::uint64_t v = 1;
@@ -80,6 +108,7 @@ TEST(MetricsRegistry, HistogramFoldMatchesSingleHistogramOracle) {
     for (int i = 0; i < 200; ++i) {
       reg.observe(h, slot, v);
       oracle.record(v);
+      split_oracle.record(slot < 2 ? CoreType::kBig : CoreType::kLittle, v);
       expected[Histogram::bucket_index(v)] += 1;
       max_seen = std::max(max_seen, v);
       v = v * 3 + slot + 1;
@@ -99,6 +128,15 @@ TEST(MetricsRegistry, HistogramFoldMatchesSingleHistogramOracle) {
                        max_seen),
               oracle.value_at_quantile(q));
   }
+
+  expect_same_histogram(reg.fold_histogram(h), oracle, "all slots");
+  const LatencySplit split(reg.fold_histogram(h, 0, 2),
+                           reg.fold_histogram(h, 2, 4));
+  expect_same_histogram(split.big(), split_oracle.big(), "slots {0,1}");
+  expect_same_histogram(split.little(), split_oracle.little(), "slots {2,3}");
+  expect_same_histogram(split.overall(), split_oracle.overall(), "overall");
+  // An empty range folds to the empty histogram.
+  expect_same_histogram(reg.fold_histogram(h, 4, 4), Histogram(), "empty");
 }
 
 TEST(MetricsRegistry, ConcurrentWritersFoldExactly) {

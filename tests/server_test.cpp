@@ -3,6 +3,7 @@
 // the open-loop generator's conservation laws.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <set>
 #include <sstream>
@@ -465,6 +466,95 @@ TEST(ServiceEngines, LockRouteCountersSplitByEngineCapability) {
     EXPECT_LE(routes.put_route_acquires, puts)
         << engine << ": batching can only merge put acquisitions, not mint";
   }
+}
+
+TEST(ServiceAccounting, ReportRacingTheWorkersIsMonotoneAndConsistent) {
+  // report() and lock_route_stats() are folds over the workers' own
+  // accounting slots, taken while the workers record (DESIGN.md §4; this
+  // suite runs under TSan in CI). Every snapshot must keep the report-level
+  // contracts, consecutive snapshots must never step backwards, and once
+  // stop() has drained the service the folds are exact.
+  KvServiceConfig cfg;
+  cfg.num_shards = 2;
+  cfg.workers_per_shard = 2;
+  cfg.big_workers = 2;  // slots 0-1 big, 2-3 little: both halves fold
+  cfg.queue_capacity = 32;
+  cfg.batch_k = 4;
+  cfg.prefill_keys = 256;
+  cfg.classes.push_back(RequestClass{"race-tight", 2 * kNanosPerMilli, {}});
+  cfg.classes.push_back(
+      RequestClass{"race-loose", 8 * kNanosPerMilli, AdmissionPolicy{1, 0.5}});
+  KvService service(cfg);
+  service.start();
+
+  std::atomic<bool> stopped{false};
+  std::uint64_t snapshots = 0;
+  std::vector<std::string> violations;
+  std::thread reader([&] {
+    auto expect = [&violations](bool ok, const std::string& what) {
+      if (!ok && violations.size() < 8) violations.push_back(what);
+    };
+    ServiceReport prev = service.report();
+    LockRouteStats prev_routes = service.lock_route_stats();
+    do {
+      const ServiceReport report = service.report();
+      const LockRouteStats routes = service.lock_route_stats();
+      for (std::size_t c = 0; c < report.classes.size(); ++c) {
+        const ClassReport& a = prev.classes[c];
+        const ClassReport& b = report.classes[c];
+        expect(b.shed <= b.rejected, b.name + ": shed <= rejected");
+        expect(b.slo_met <= b.completed, b.name + ": slo_met <= completed");
+        expect(b.accepted >= a.accepted && b.rejected >= a.rejected &&
+                   b.shed >= a.shed && b.completed >= a.completed &&
+                   b.slo_met >= a.slo_met,
+               b.name + ": counters are monotone");
+        expect(b.total.big().count() >= a.total.big().count() &&
+                   b.total.little().count() >= a.total.little().count() &&
+                   b.queue_wait.count() >= a.queue_wait.count(),
+               b.name + ": histogram counts are monotone");
+      }
+      expect(routes.get_route_acquires >= prev_routes.get_route_acquires &&
+                 routes.put_route_acquires >= prev_routes.put_route_acquires &&
+                 routes.cs_gets >= prev_routes.cs_gets &&
+                 routes.lockfree_gets >= prev_routes.lockfree_gets,
+             "route counters are monotone");
+      prev = report;
+      prev_routes = routes;
+      snapshots += 1;
+    } while (!stopped.load(std::memory_order_acquire));
+  });
+
+  std::vector<std::uint64_t> accepted(2, 0);
+  std::uint64_t accepted_gets = 0;
+  Rng rng(23);
+  for (std::uint64_t i = 0; i < 10'000; ++i) {
+    const std::uint32_t c = static_cast<std::uint32_t>(i % 2);
+    const OpType op = rng.below(4) == 0 ? OpType::kPut : OpType::kGet;
+    if (service.try_submit(op, rng.below(256), c)) {
+      accepted[c] += 1;
+      if (op == OpType::kGet) accepted_gets += 1;
+    } else {
+      std::this_thread::yield();  // let the workers catch up a little
+    }
+  }
+  service.stop();
+  stopped.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_GE(snapshots, 1u);
+  EXPECT_TRUE(violations.empty()) << violations.front();
+  const ServiceReport report = service.report();
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    const ClassReport& cls = report.classes[c];
+    EXPECT_EQ(cls.completed, accepted[c]) << cls.name;
+    EXPECT_EQ(cls.total.big().count() + cls.total.little().count(),
+              cls.total.overall().count())
+        << cls.name;
+    EXPECT_EQ(cls.total.overall().count(), cls.completed) << cls.name;
+    EXPECT_EQ(cls.queue_wait.count(), cls.completed) << cls.name;
+  }
+  const LockRouteStats routes = service.lock_route_stats();
+  EXPECT_EQ(routes.cs_gets + routes.lockfree_gets, accepted_gets);
 }
 
 TEST(ServiceLifecycle, StopBeforeStartThenLateTrafficIsRejected) {
