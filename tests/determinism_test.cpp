@@ -300,6 +300,45 @@ TEST(Determinism, SimTwinGoldenTraceMatchesCheckedInCsv) {
   if (regenerated) GTEST_SKIP() << "goldens regenerated";
 }
 
+TEST(Determinism, SimTwinMvccBatchShedGoldenMatchesCheckedInCsv) {
+  // The lock-free batch path: overloaded kv_batch_shed on engine=mvcc
+  // forms put-headed multi-request batches whose gets are deferred past the
+  // release. Neither golden above reaches it — no batch forms at the steady
+  // mvcc golden's rate, and the batch golden's hash engine takes every get
+  // under the lock — so this one pins the route split byte-for-byte, with
+  // the LockRouteStats counters on the last line. Regenerate with
+  //   ASL_WRITE_GOLDEN=1 ./determinism_test
+  //     --gtest_filter='*SimTwinMvccBatchShedGolden*'
+  server::KvScenario sc =
+      server::make_overloaded_kv_scenario("kv_batch_shed", 8.0);
+  sc.service.engine = "mvcc";
+  const server::LockRouteStats routes = server::run_sim_kv(sc).lock_routes;
+  const std::string csv =
+      twin_csv(sc) + "lock_routes: get_route_acquires=" +
+      std::to_string(routes.get_route_acquires) +
+      " put_route_acquires=" + std::to_string(routes.put_route_acquires) +
+      " cs_gets=" + std::to_string(routes.cs_gets) +
+      " lockfree_gets=" + std::to_string(routes.lockfree_gets) + "\n";
+
+  const std::string path =
+      std::string(ASL_GOLDEN_DIR) + "/sim_kv_mvcc_batch_shed_overload.csv";
+  if (std::getenv("ASL_WRITE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << csv;
+    GTEST_SKIP() << "golden regenerated";
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden file " << path
+                  << " (regenerate with ASL_WRITE_GOLDEN=1)";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(golden.str(), csv)
+      << "twin lock-free batch path drifted from the checked-in golden; if "
+         "the model change is intentional, regenerate with "
+         "ASL_WRITE_GOLDEN=1";
+}
+
 TEST(Determinism, ArrivalRateIsUnbiasedAtNanosecondGaps) {
   // Regression for the mean-truncation bug (workload/arrival.h): next_gap
   // used to floor the mean inter-arrival to whole ns *before* the
