@@ -52,8 +52,16 @@ void check_probe_invariants(ScenarioContext& ctx, const CapacityResult& r,
                   "trial count within budget");
   ctx.shape_check(r.feasible == r.trials.front().ok,
                   "feasibility reflects the first trial");
-  ctx.shape_check(!(r.feasible && r.bracketed) || r.max_rate < r.min_violating,
-                  "bracket ordered: max feasible < min violating");
+  // The ordering needs both ends of a bracket; without them it would pass
+  // vacuously, so it is reported as skipped instead.
+  const std::string ordered = "bracket ordered: max feasible < min violating";
+  if (!r.feasible) {
+    ctx.shape_skip(ordered, "no SLO-feasible rate found");
+  } else if (!r.bracketed) {
+    ctx.shape_skip(ordered, "no violating rate within the trial budget");
+  } else {
+    ctx.shape_check(r.max_rate < r.min_violating, ordered);
+  }
 }
 
 void run_capacity_twin(ScenarioContext& ctx) {

@@ -44,6 +44,12 @@ void ScenarioContext::shape_check(bool ok, const std::string& what) {
   all_ok_ = all_ok_ && ok;
 }
 
+void ScenarioContext::shape_skip(const std::string& what,
+                                 const std::string& why) {
+  std::cout << "  [shape SKIP] " << what << ": " << why << "\n";
+  skipped_ += 1;
+}
+
 void ScenarioContext::emit(const Table& table, const std::string& tag) {
   table.print(std::cout);
   if (csv_ != nullptr) {
@@ -174,8 +180,13 @@ int scenario_main(int argc, char** argv, const char* default_scenario) {
     }
     ScenarioContext ctx(name, time_scale, csv, options);
     scenario->run(ctx);
-    std::cout << (ctx.all_ok() ? "\nAll shape checks passed.\n"
-                               : "\nSOME SHAPE CHECKS FAILED.\n");
+    const std::string skips =
+        ctx.skipped() == 0
+            ? ""
+            : " (" + std::to_string(ctx.skipped()) + " skipped)";
+    std::cout << (ctx.all_ok() ? "\nAll shape checks passed"
+                               : "\nSOME SHAPE CHECKS FAILED")
+              << skips << ".\n";
     all_ok = all_ok && ctx.all_ok();
   }
   return all_ok ? 0 : 1;

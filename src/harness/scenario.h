@@ -10,6 +10,7 @@
 // executables" layout (DESIGN.md §1).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <map>
@@ -41,11 +42,19 @@ class ScenarioContext {
   // the driver's exit code aggregates over every scenario run.
   void shape_check(bool ok, const std::string& what);
 
+  // A check this run cannot make because its premise did not hold (a probe
+  // that found no capacity has no bracket to order): prints
+  // "[shape SKIP] <what>: <why>" instead of a vacuous PASS. It leaves
+  // all_ok() and the exit code unchanged; scenario_main's summary line
+  // counts it, so a run of skips never reads as a plain pass.
+  void shape_skip(const std::string& what, const std::string& why);
+
   // Print the table to stdout and, when CSV output is enabled, append it to
   // the CSV stream tagged with the scenario and table name.
   void emit(const Table& table, const std::string& tag);
 
   bool all_ok() const { return all_ok_; }
+  std::uint32_t skipped() const { return skipped_; }
   const std::string& scenario() const { return scenario_; }
 
   // Scenario-interpreted filter option ("" when the flag was not given).
@@ -62,6 +71,7 @@ class ScenarioContext {
   std::ostream* csv_ = nullptr;
   std::map<std::string, std::string> options_;
   bool all_ok_ = true;
+  std::uint32_t skipped_ = 0;
 };
 
 using ScenarioFn = std::function<void(ScenarioContext&)>;
@@ -140,7 +150,8 @@ struct ScenarioRegistrar {
 //                          Perfetto / chrome://tracing)
 //   <name>...              scenarios to run (default: `default_scenario`,
 //                          or --list behaviour when none is configured)
-// Exit code 0 iff every shape check of every scenario passed.
+// Exit code 0 iff every shape check of every scenario passed (skipped
+// checks do not count either way; each scenario's summary line counts them).
 int scenario_main(int argc, char** argv, const char* default_scenario);
 
 }  // namespace asl::bench

@@ -11,10 +11,11 @@
 // limit: try_push_below(item, limit) admits only while the current depth is
 // under `limit`, so a sheddable request class can be rejected at a watermark
 // below the physical capacity while protected classes keep using the full
-// queue. The queue itself stays class-blind — the caller (KvService /
-// SimKvService) derives the limit from its AdmissionPolicy, and the
-// tri-state PushResult tells it whether a rejection was a deliberate shed
-// (watermark hit, queue not full) or genuine exhaustion.
+// queue. The queue itself stays class-blind — the caller
+// (ServiceCore::admit, for the real service and its twin alike) derives the
+// limit from the class's AdmissionPolicy, and the tri-state PushResult
+// tells it whether a rejection was a deliberate shed (watermark hit, queue
+// not full) or genuine exhaustion.
 //
 // Producers never block; consumers block on a CondVar (the litl-style
 // shadow-mutex condvar from asl/condvar.h) until an item or close() arrives.

@@ -1,7 +1,6 @@
 #include "server/sim_kv_service.h"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <string>
 
@@ -10,67 +9,46 @@
 #include "sim/engine.h"
 
 namespace asl::server {
-namespace {
-
-// One queued request inside the twin. `at` is the virtual enqueue instant
-// (the TracePoint's scheduled arrival — admission is instantaneous, so
-// enqueue time equals arrival time, unlike the wall clock where try_submit
-// stamps slightly after the scheduled instant).
-struct SimRequest {
-  std::uint64_t key = 0;
-  std::uint32_t class_index = 0;
-  bool is_put = false;
-  Nanos at = 0;
-};
-
-}  // namespace
 
 struct SimKvService::Impl {
   struct Shard {
-    std::deque<SimRequest> queue;
     std::unique_ptr<sim::SimLock> lock;
     SimShardStats stats;
     Nanos depth_since = 0;  // last depth-change instant (integral bookkeeping)
   };
 
-  // One worker per simulated core (the twin of pin_workers): same slot
-  // assignment rule as KvService — worker w serves shard w % num_shards,
-  // the first big_worker_count slots are big.
+  // One worker per simulated core (the twin of pin_workers), laid out by
+  // the core's worker specs.
   struct Worker {
-    std::uint32_t index = 0;
-    std::uint32_t shard = 0;
-    std::uint32_t slot = 0;  // accounting slot: 0 big, 1 little
-    sim::Core core{};
+    Worker(const WorkerSpec& s, const ServiceCore& core)
+        : spec(s), batch(core.batch()) {
+      cpu.id = spec.index;
+      cpu.type = spec.type;
+      cpu.runnable = 1;
+      sim.id = spec.index;
+      sim.core = &cpu;
+      // Per-(worker, class) AIMD controllers — the twin of the real
+      // service's thread-local epoch state, from the same seeds.
+      for (std::uint32_t c = 0; c < core.num_classes(); ++c) {
+        controllers.emplace_back(core.class_state(c).controller);
+      }
+    }
+    WorkerSpec spec;
+    sim::Core cpu{};
     sim::SimThread sim{};
-    // Per-(worker, class) AIMD controllers — the twin of the real service's
-    // thread-local epoch state, seeded by the same seed_config_for_slo rule.
     std::vector<WindowController> controllers;
+    Batch batch;            // the batch in service while busy
+    Nanos acquired_at = 0;  // its lock grant
     bool busy = false;
   };
 
-  struct ClassState {
-    RequestClass spec;
-    std::size_t depth_limit = 0;  // shed_threshold(spec.admission, capacity)
-    AdmissionCounts admitted;
-  };
-
-  KvServiceConfig config;
+  ServiceCore core;
   SimTwinConfig twin;
-  db::CostProfile cost;  // resolved_cost_profile(config): per-op classes
   Rng rng;
   sim::Engine eng;
   std::vector<std::unique_ptr<Shard>> shards;
   std::vector<std::unique_ptr<Worker>> workers;
-  std::vector<ClassState> classes;
-  // The accounting store and fold KvService uses. The twin is single-
-  // threaded, so it needs one slot per core type rather than one per
-  // worker: slot 0 is every big worker's, slot 1 every little worker's.
-  KvAccounting accounting;
-  TraceRecorder* recorder = nullptr;  // not owned; null = no recording
   bool ran = false;
-  // Telemetry in virtual time (DESIGN.md §11): the same KvTelemetry the
-  // real path samples, over the same kind of store.
-  std::unique_ptr<KvTelemetry> telemetry;
   // Virtual instant of the last *service* event (arrival or work
   // completion). Telemetry ticks are engine events too, but they must not
   // move the reported drain time — drained_at reads this clock, which tick
@@ -80,171 +58,72 @@ struct SimKvService::Impl {
   void touch() { work_clock = eng.now(); }
 
   Impl(KvServiceConfig cfg, SimTwinConfig tw)
-      : config(clamped_config(std::move(cfg))),
+      : core(std::move(cfg), ServiceCore::Slots::kPerCoreType),
         twin(std::move(tw)),
-        rng(twin.seed),
-        accounting(config.classes, /*num_slots=*/2, /*big_slots=*/1) {
-    // Same per-op cost resolution as the real service (engine registry
-    // default unless the config carries an explicit profile, then
-    // cost_scale): the twin charges the classes the real path spins.
-    cost = resolved_cost_profile(config);
-    for (const RequestClass& spec : config.classes) {
-      ClassState cs;
-      cs.spec = spec;
-      // Same precomputed shed depths as KvService: the twin and the real
-      // service reject a sheddable class at identical queue depths.
-      cs.depth_limit = shed_threshold(spec.admission, config.queue_capacity);
-      classes.push_back(std::move(cs));
-    }
-
-    shards.reserve(config.num_shards);
-    for (std::uint32_t s = 0; s < config.num_shards; ++s) {
+        rng(twin.seed) {
+    for (std::uint32_t s = 0; s < core.config().num_shards; ++s) {
       auto shard = std::make_unique<Shard>();
-      shard->lock =
-          make_sim_lock(twin.lock, &eng, &twin.machine, &rng);
+      shard->lock = make_sim_lock(twin.lock, &eng, &twin.machine, &rng);
       shards.push_back(std::move(shard));
     }
-
-    const std::uint32_t n = config.num_shards * config.workers_per_shard;
-    const std::uint32_t num_big = big_worker_count(config);
-    for (std::uint32_t w = 0; w < n; ++w) {
-      auto worker = std::make_unique<Worker>();
-      worker->index = w;
-      worker->shard = w % config.num_shards;
-      worker->slot = w < num_big ? 0 : 1;
-      worker->core.id = w;
-      worker->core.type = w < num_big ? CoreType::kBig : CoreType::kLittle;
-      worker->core.runnable = 1;
-      worker->sim.id = w;
-      worker->sim.core = &worker->core;
-      for (const RequestClass& spec : config.classes) {
-        WindowController::Config ctl;
-        if (spec.slo_ns > 0) seed_config_for_slo(ctl, spec.slo_ns);
-        worker->controllers.emplace_back(ctl);
-      }
-      workers.push_back(std::move(worker));
-    }
-
-    if (config.telemetry.enabled) {
-      telemetry = std::make_unique<KvTelemetry>(config, accounting);
+    for (const WorkerSpec& spec : core.workers()) {
+      workers.push_back(std::make_unique<Worker>(spec, core));
     }
   }
 
-  // One virtual-time sampler fold at telemetry time `t` — the twin of
-  // KvService::telemetry_tick, reading the Impl counters directly.
-  void sample_tick(Nanos t) {
-    TelemetryTickInputs& in = telemetry->inputs();
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-      in.class_accepted[c] = classes[c].admitted.accepted;
-      in.class_shed[c] = classes[c].admitted.shed;
-    }
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      in.shard_depth[s] = shards[s]->queue.size();
-    }
-    telemetry->fold_tick(t);
-  }
-
-  // Pre-posts one tick event per sample period over the arrival window (the
-  // drain-instant final tick is collect()'s). Each tick reports *its own*
-  // scheduled time, and none of them calls touch() — sampling reads state,
-  // never advances the work clock.
+  // Pre-posts one telemetry tick per sample period over the arrival window
+  // (the drain-instant final tick is collect()'s). Each tick reports *its
+  // own* scheduled time, and none of them calls touch() — sampling reads
+  // state, never advances the work clock.
   void schedule_ticks(Nanos horizon) {
-    if (!telemetry) return;
-    const Nanos period = config.telemetry.sample_period_ns < 1
-                             ? 1
-                             : config.telemetry.sample_period_ns;
+    KvTelemetry* const telem = core.telemetry();
+    if (telem == nullptr) return;
+    const Nanos period = std::max<Nanos>(
+        core.config().telemetry.sample_period_ns, 1);
     for (Nanos t = period; t <= horizon; t += period) {
-      eng.at(t, [this, t] { sample_tick(t); });
+      eng.at(t, [telem, t] { telem->fold_tick(t); });
     }
   }
 
-  // Per-op cost-class NOPs -> virtual ns under the machine model's
-  // asymmetry, floored at 1 ns so zero-cost classes still advance virtual
-  // time. The op kind selects the class (DESIGN.md §7) — this is where the
-  // old flat cs_nops fold used to live.
-  sim::Time cs_time(CoreType type, bool is_put) const {
-    const double ns = static_cast<double>(cost.op(is_put).cs_nops) *
-                      twin.nop_ns * twin.machine.cs_slowdown(type);
-    return ns < 1.0 ? sim::Time{1} : static_cast<sim::Time>(ns);
-  }
-  sim::Time post_time(CoreType type, bool is_put) const {
-    const double ns = static_cast<double>(cost.op(is_put).post_nops) *
-                      twin.nop_ns * twin.machine.ncs_slowdown(type);
-    return ns < 1.0 ? sim::Time{1} : static_cast<sim::Time>(ns);
-  }
-  // Lock-free get service time (DESIGN.md §8): the get class's cs_nops are
-  // still the latency-visible read, but they run off-lock at non-CS speed —
-  // the twin of the real worker's scale_ncs spin on the lock-free route.
-  sim::Time lockfree_get_time(CoreType type) const {
-    const double ns = static_cast<double>(cost.get.cs_nops) * twin.nop_ns *
-                      twin.machine.ncs_slowdown(type);
+  // The virtual clock's price of a segment: NOPs -> virtual ns under the
+  // machine model's asymmetry, floored at 1 ns so zero-cost classes still
+  // advance virtual time.
+  sim::Time virtual_ns(CoreType type, Price price) const {
+    const double ns = static_cast<double>(price.nops) * twin.nop_ns *
+                      (price.cs_speed ? twin.machine.cs_slowdown(type)
+                                      : twin.machine.ncs_slowdown(type));
     return ns < 1.0 ? sim::Time{1} : static_cast<sim::Time>(ns);
   }
 
-  // One served request's bookkeeping at the end of its service segment: the
-  // shard's completion count, the accounting store, and the class
-  // controller's feedback (the real worker's epoch_end_with_latency).
-  void complete(Worker& worker, Shard& shard, const SimRequest& req,
-                Nanos queue_wait) {
-    const Nanos total = eng.now() - req.at;
-    const Nanos slo = classes[req.class_index].spec.slo_ns;
-    shard.stats.completed += 1;
-    accounting.complete(worker.slot, req.class_index, total, queue_wait);
-    if (slo > 0 && DispatchPolicy::updates_window(worker.core.type)) {
-      worker.controllers[req.class_index].on_epoch_end(total, slo);
-    }
-  }
-
-  void flush_depth(Shard& shard) {
+  void flush_depth(std::uint32_t s) {
+    Shard& shard = *shards[s];
     shard.stats.depth_integral +=
-        static_cast<std::uint64_t>(shard.queue.size()) *
+        static_cast<std::uint64_t>(core.queue(s).size()) *
         (eng.now() - shard.depth_since);
     shard.depth_since = eng.now();
   }
 
-  // Admission at arrival time. Returns the decision taken (the replay path
-  // compares it against the recorded one) and, when a recorder is attached,
-  // captures the arrival + decision + route before any queue/worker state
-  // moves — so recorded order is exactly virtual processing order.
-  TraceDecision arrive(std::uint32_t shard_index, const SimRequest& req) {
+  // Admission at arrival time (ServiceCore::admit). Returns the decision
+  // taken (the replay path compares it against the recorded one); the
+  // core hands it to an attached recorder before any worker state moves,
+  // so recorded order is exactly virtual processing order.
+  TraceDecision arrive(std::uint32_t s, const Request& req) {
     touch();
-    Shard& shard = *shards[shard_index];
-    ClassState& cls = classes[req.class_index];
-    // Mirror of BoundedQueue::try_push_below: capacity exhaustion first,
-    // then the class watermark — a shed is counted only when the queue
-    // still had room.
-    TraceDecision decision = TraceDecision::kAdmit;
-    if (shard.queue.size() >= config.queue_capacity) {
-      decision = TraceDecision::kReject;
-    } else if (shard.queue.size() >= cls.depth_limit) {
-      decision = TraceDecision::kShed;
-    }
-    if (recorder != nullptr) {
-      recorder->on_arrival(req.at, req.class_index, req.is_put, req.key,
-                           decision, shard_index);
-    }
-    if (decision == TraceDecision::kReject) {
-      cls.admitted.rejected += 1;
-      shard.stats.rejected += 1;
+    flush_depth(s);
+    const TraceDecision decision = core.admit(req, s);
+    SimShardStats& stats = shards[s]->stats;
+    if (decision != TraceDecision::kAdmit) {
+      stats.rejected += 1;
+      if (decision == TraceDecision::kShed) stats.shed += 1;
       return decision;
     }
-    if (decision == TraceDecision::kShed) {
-      cls.admitted.shed += 1;
-      cls.admitted.rejected += 1;
-      shard.stats.rejected += 1;
-      shard.stats.shed += 1;
-      return decision;
-    }
-    flush_depth(shard);
-    shard.queue.push_back(req);
-    cls.admitted.accepted += 1;
-    shard.stats.accepted += 1;
-    shard.stats.max_depth =
-        std::max<std::uint64_t>(shard.stats.max_depth, shard.queue.size());
+    stats.accepted += 1;
+    stats.max_depth =
+        std::max<std::uint64_t>(stats.max_depth, core.queue(s).size());
     // Kick the lowest-index idle worker of this shard (the twin's stand-in
     // for whichever blocked popper the OS would wake first).
     for (auto& worker : workers) {
-      if (worker->shard == shard_index && !worker->busy) {
+      if (worker->spec.shard == s && !worker->busy) {
         dispatch(*worker);
         break;
       }
@@ -252,140 +131,97 @@ struct SimKvService::Impl {
     return decision;
   }
 
-  // One claimed batch member: the request plus its queue wait, frozen at
-  // the instant a worker took charge of it (pop time), mirroring the real
-  // path's per-request wait measurement.
-  struct Pending {
-    SimRequest req;
-    Nanos wait = 0;
-  };
-
   void dispatch(Worker& worker) {
-    Shard& shard = *shards[worker.shard];
+    const std::uint32_t s = worker.spec.shard;
     worker.busy = true;
-    flush_depth(shard);
-    const SimRequest head = shard.queue.front();
-    shard.queue.pop_front();
-    const Nanos head_wait = eng.now() - head.at;
-
-    if (cost.get_lock_free && !head.is_put) {
+    flush_depth(s);
+    Request head;
+    core.queue(s).try_pop(head);
+    worker.batch.start(head, eng.now());
+    if (!worker.batch.locked()) {
       // Lock-free get route — the twin of the real worker's solo off-lock
       // serve: no simulated acquisition, no batch extension, no dispatch-
-      // window decision (there is no lock to reorder around). It is a
-      // one-request batch with no critical-section members, so the read
-      // occupies the worker for lockfree_get_time and the usual
-      // accounting / feedback / post-op sequence follows.
-      serve_segment(worker, shard,
-                    std::make_shared<std::vector<Pending>>(
-                        1, Pending{head, head_wait}),
-                    0, /*cs_count=*/0, /*acquired_at=*/0);
+      // window decision (there is no lock to reorder around).
+      serve_segment(worker, 0);
       return;
     }
-    accounting.acquisition(worker.slot, head.is_put);
+    core.accounting().acquisition(worker.spec.slot,
+                                  head.op == OpType::kPut);
 
     // The real worker wraps the shard critical section in epoch_start /
     // epoch_end_with_latency; the twin consumes the same DispatchPolicy and
     // WindowController directly (sim_runner precedent — the feedback loop is
-    // production code, only the clock is virtual). As on the real path, the
-    // *head* request's class window governs the one dispatch decision the
-    // whole batch shares (DESIGN.md §6).
-    ClassState& cls = classes[head.class_index];
-    WindowController& ctl = worker.controllers[head.class_index];
-    const std::uint64_t window = cls.spec.slo_ns > 0
-                                     ? ctl.window()
-                                     : DispatchPolicy::no_epoch_window();
-    const LockPlan plan = DispatchPolicy::plan(worker.core.type, window);
+    // production code, only the clock is virtual). The *head* request's
+    // class window governs the one dispatch decision the batch shares.
+    const std::uint64_t window =
+        core.class_state(head.class_index).spec.slo_ns > 0
+            ? worker.controllers[head.class_index].window()
+            : DispatchPolicy::no_epoch_window();
+    const LockPlan plan = DispatchPolicy::plan(worker.spec.type, window);
     const Nanos lock_req_at = eng.now();
-    shard.lock->acquire(
+    shards[s]->lock->acquire(
         &worker.sim,
         plan.immediate ? sim::AcquireMode::kImmediate
                        : sim::AcquireMode::kReorder,
-        plan.window_ns,
-        [this, &worker, &shard, head, head_wait, lock_req_at] {
+        plan.window_ns, [this, &worker, s, lock_req_at] {
           touch();
-          const Nanos acquired_at = eng.now();
-          accounting.lock_wait(worker.slot, acquired_at - lock_req_at);
-          // Batch extension at acquisition time — the twin of the real
-          // worker's try_pop loop after lock.lock(): requests already
-          // waiting when the lock was won ride along, one simulated lock
-          // handoff amortized over all of them. Per-op engine cost is still
-          // paid per request (serve_segment), so batching saves handoffs,
-          // never work.
-          auto batch = std::make_shared<std::vector<Pending>>();
-          batch->push_back(Pending{head, head_wait});
-          while (batch->size() < config.batch_k && !shard.queue.empty()) {
-            flush_depth(shard);
-            const SimRequest req = shard.queue.front();
-            shard.queue.pop_front();
-            batch->push_back(Pending{req, eng.now() - req.at});
-          }
-          if (recorder != nullptr) {
-            // One histogram bucket per acquisition: summed over buckets,
-            // batch counts equal the route acquire counters (lock-free solo
-            // gets acquire nothing and are not batches).
-            recorder->on_batch(worker.shard,
-                               static_cast<std::uint32_t>(batch->size()));
-          }
-          std::size_t cs_count = batch->size();
-          if (cost.get_lock_free) {
-            // Mixed put-headed batch on the lock-free route: puts run
-            // first, inside the CS, gets are deferred past the release —
-            // the same stable puts-then-gets reorder the real worker's two
-            // serving passes produce (each group keeps pop order; waits
-            // were frozen at pop time above, so the reorder only changes
-            // *service* order).
-            std::stable_partition(
-                batch->begin(), batch->end(),
-                [](const Pending& p) { return p.req.is_put; });
-            cs_count = static_cast<std::size_t>(std::count_if(
-                batch->begin(), batch->end(),
-                [](const Pending& p) { return p.req.is_put; }));
-          }
-          serve_segment(worker, shard, batch, 0, cs_count, acquired_at);
+          worker.acquired_at = eng.now();
+          core.accounting().lock_wait(worker.spec.slot,
+                                      worker.acquired_at - lock_req_at);
+          // The kernel's extension at the grant: requests already waiting
+          // ride along, one simulated lock handoff amortized over all of
+          // them; each still pays its own segment.
+          flush_depth(s);
+          worker.batch.extend(core.queue(s), [this] { return eng.now(); });
+          core.record_batch(s, worker.batch.size());
+          serve_segment(worker, 0);
         });
   }
 
-  // Serves batch member i: one service segment for *its* op kind, then that
-  // request's accounting and controller feedback at the segment's end —
-  // later batch members see the work ahead of them in their measured
-  // latency, exactly like the real path. Members below cs_count run inside
-  // the critical section at cs_time; the lock is released after the last of
-  // them, and members past cs_count (deferred lock-free gets — only on a
-  // get_lock_free profile, where cs_count is the batch's put count) run
-  // off-lock at lockfree_get_time. Then each served request's own post-op
-  // interval elapses before the worker re-dispatches or idles.
-  void serve_segment(Worker& worker, Shard& shard,
-                     const std::shared_ptr<std::vector<Pending>>& batch,
-                     std::size_t i, std::size_t cs_count, Nanos acquired_at) {
-    const bool in_cs = i < cs_count;
-    const sim::Time span = in_cs
-                               ? cs_time(worker.core.type, (*batch)[i].req.is_put)
-                               : lockfree_get_time(worker.core.type);
-    if (!in_cs) accounting.lockfree_gets(worker.slot, 1);
-    if (in_cs && !(*batch)[i].req.is_put) accounting.cs_gets(worker.slot, 1);
-    eng.after(span, [this, &worker, &shard, batch, i, cs_count, acquired_at] {
-      touch();
-      complete(worker, shard, (*batch)[i].req, (*batch)[i].wait);
-      // Release at the CS boundary: after the last critical-section member,
-      // whether or not deferred off-lock gets follow (when cs_count ==
-      // batch size this is the historic release-after-last-segment).
-      if (i + 1 == cs_count) {
-        accounting.lock_hold(worker.slot, eng.now() - acquired_at);
-        shard.lock->release(&worker.sim);
+  // Serves batch member i in the kernel's serve order: one segment priced
+  // by the kernel, then that request's accounting and controller feedback
+  // at the segment's end. The lock is released after the last critical-
+  // section member; after the last member, each request's post-op interval
+  // elapses before the worker re-dispatches or idles.
+  void serve_segment(Worker& worker, std::size_t i) {
+    const Batch::Member& m = worker.batch[i];
+    const Segment segment = worker.batch.segment(i);
+    if (m.req.op == OpType::kGet) {
+      if (segment == Segment::kCritical) {
+        core.accounting().cs_gets(worker.spec.slot, 1);
+      } else {
+        core.accounting().lockfree_gets(worker.spec.slot, 1);
       }
-      if (i + 1 < batch->size()) {
-        serve_segment(worker, shard, batch, i + 1, cs_count, acquired_at);
+    }
+    const sim::Time span =
+        virtual_ns(worker.spec.type, core.price(m.req.op, segment));
+    eng.after(span, [this, &worker, i] {
+      touch();
+      const Batch& batch = worker.batch;
+      const Batch::Member& m = batch[i];
+      shards[worker.spec.shard]->stats.completed += 1;
+      const Nanos total = core.complete(worker.spec, m, eng.now());
+      const Nanos slo = core.class_state(m.req.class_index).spec.slo_ns;
+      if (slo > 0 && DispatchPolicy::updates_window(worker.spec.type)) {
+        worker.controllers[m.req.class_index].on_epoch_end(total, slo);
+      }
+      if (i + 1 == batch.cs_count()) {
+        core.accounting().lock_hold(worker.spec.slot,
+                                    eng.now() - worker.acquired_at);
+        shards[worker.spec.shard]->lock->release(&worker.sim);
+      }
+      if (i + 1 < batch.size()) {
+        serve_segment(worker, i + 1);
         return;
       }
-      // One post-op interval per served request, each priced by its own op
-      // class — the twin of the real path's per-request post spin.
       sim::Time post = 0;
-      for (const Pending& p : *batch) {
-        post += post_time(worker.core.type, p.req.is_put);
+      for (std::size_t j = 0; j < batch.size(); ++j) {
+        post += virtual_ns(worker.spec.type,
+                           core.price(batch[j].req.op, Segment::kPost));
       }
-      eng.after(post, [this, &worker, &shard] {
+      eng.after(post, [this, &worker] {
         touch();
-        if (!shard.queue.empty()) {
+        if (core.queue(worker.spec.shard).size() > 0) {
           dispatch(worker);
         } else {
           worker.busy = false;
@@ -394,32 +230,28 @@ struct SimKvService::Impl {
     });
   }
 
-  // Snapshot after run_all(): per-class reports and routes folded from the
-  // accounting store (the fold KvService::report() uses), plus shard stats
-  // — shared verbatim by run() and replay() so both emit byte-identical
-  // tables for identical executions.
+  // Snapshot after run_all(): the core's report, its route fold and the
+  // shard stats — shared verbatim by run() and replay() so both emit
+  // byte-identical tables for identical executions.
   void collect(SimServiceReport& report) {
     // work_clock, not eng.now(): the last service event defines the drain
     // instant. With telemetry off they are the same clock; with telemetry on
     // a trailing tick event past the drain must not move it.
     report.drained_at = work_clock;
-    if (telemetry) {
+    if (KvTelemetry* telem = core.telemetry()) {
       // The final tick, at the drain instant — the virtual-time twin of the
       // real Sampler's stop()-time fold: it observes empty queues and final
       // counters, so "the sampler sees zero after drain" holds here too.
-      sample_tick(work_clock);
-      report.telemetry = telemetry->log();
+      telem->fold_tick(work_clock);
+      report.telemetry = telem->log();
     }
-    for (auto& shard : shards) flush_depth(*shard);
+    for (std::uint32_t s = 0; s < shards.size(); ++s) flush_depth(s);
     // epoch_id stays -1: the twin does not touch the global EpochRegistry.
-    for (std::uint32_t c = 0; c < classes.size(); ++c) {
-      report.service.classes.push_back(
-          accounting.fold_class(c, classes[c].admitted));
-    }
+    report.service = core.report();
     for (const auto& shard : shards) {
       report.shards.push_back(shard->stats);
     }
-    report.lock_routes = accounting.routes();
+    report.lock_routes = core.accounting().routes();
   }
 };
 
@@ -429,10 +261,12 @@ SimKvService::SimKvService(KvServiceConfig config, SimTwinConfig twin)
 SimKvService::~SimKvService() { delete impl_; }
 
 std::uint32_t SimKvService::shard_of(std::uint64_t key) const {
-  return shard_for_key(key, impl_->config.num_shards);
+  return impl_->core.shard_of(key);
 }
 
-const KvServiceConfig& SimKvService::config() const { return impl_->config; }
+const KvServiceConfig& SimKvService::config() const {
+  return impl_->core.config();
+}
 
 SimServiceReport SimKvService::run(const std::vector<LoadSpec>& load,
                                    Nanos horizon) {
@@ -445,13 +279,12 @@ SimServiceReport SimKvService::run(const std::vector<LoadSpec>& load,
   // generator replays, then post arrivals as engine events. Specs aimed at
   // unknown classes offer nothing (run_open_loop's rule).
   for (const LoadSpec& spec : load) {
-    if (spec.class_index >= impl_->classes.size()) continue;
+    if (spec.class_index >= impl_->core.num_classes()) continue;
     for (const TracePoint& p : generate_trace(spec, horizon)) {
-      SimRequest req;
-      req.key = p.key;
-      req.class_index = spec.class_index;
-      req.is_put = p.is_put;
-      req.at = p.at;
+      // Admission is instantaneous in virtual time: the enqueue instant is
+      // the scheduled arrival (the wall clock stamps slightly after it).
+      const Request req{p.is_put ? OpType::kPut : OpType::kGet, p.key,
+                        spec.class_index, p.at};
       report.offered += 1;
       impl_->eng.at(p.at, [this, req] {
         impl_->arrive(shard_of(req.key), req);
@@ -470,7 +303,7 @@ SimServiceReport SimKvService::run(const std::vector<LoadSpec>& load,
 }
 
 void SimKvService::record_to(TraceRecorder* recorder) {
-  impl_->recorder = recorder;
+  impl_->core.set_recorder(recorder);
 }
 
 SimReplayReport SimKvService::replay(const RecordedTrace& trace) {
@@ -487,15 +320,12 @@ SimReplayReport SimKvService::replay(const RecordedTrace& trace) {
   // the recorded config. Records aimed at classes this config lacks are
   // skipped, mirroring run()'s unknown-class rule.
   for (const TraceRecord& rec : trace.records) {
-    if (rec.class_index >= impl_->classes.size()) {
+    if (rec.class_index >= impl_->core.num_classes()) {
       rr.skipped += 1;
       continue;
     }
-    SimRequest req;
-    req.key = rec.key;
-    req.class_index = rec.class_index;
-    req.is_put = rec.is_put;
-    req.at = rec.at;
+    const Request req{rec.is_put ? OpType::kPut : OpType::kGet, rec.key,
+                      rec.class_index, rec.at};
     rr.report.offered += 1;
     impl_->eng.at(rec.at, [this, req, rec, &rr] {
       // Routing is always recomputed from the key: under the recorded

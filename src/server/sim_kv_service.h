@@ -2,48 +2,29 @@
 // §5).
 //
 // The real service (kv_service.h) can only be *accounted* in CI: wall-clock
-// latency on a noisy runner is not assertable. The twin runs the same
-// shard/queue/admission semantics on the discrete-event engine (src/sim/),
-// with service costs drawn from the AMP machine model (sim/core_model.h), so
-// every scenario produces one byte-reproducible measured table — queueing
-// shapes (latency vs offered load, rejection onset, hot-shard skew) become
+// latency on a noisy runner is not assertable. The twin runs the service's
+// own policy kernel — the same ServiceCore (service_core.h) KvService
+// holds: admission, batch formation, the route split, pricing and
+// accounting — on the discrete-event engine (src/sim/), so every scenario
+// produces one byte-reproducible measured table. Queueing shapes (latency
+// vs offered load, rejection onset, hot-shard skew) become
 // regression-testable facts instead of wall-clock luck.
 //
-// Fidelity contract (what the twin models vs elides) is written out in
-// DESIGN.md §5; the short version:
-//   * modeled: shard routing (shard_for_key), bounded-queue admission with
-//     counted rejections, class-aware shedding at the same shed_threshold
-//     depths as the real queue (sheds counted per class and per shard),
-//     batch_k drain — one simulated lock handoff per batch, per-op engine
-//     cost per request, acquisition window from the head request's class —
-//     big/little worker slots (same assignment rule as KvService), the
-//     shard lock as the simulated Bench-6 substrate
-//     (LockKind::kBlockingReorderable by default), ASL dispatch + AIMD
-//     feedback via the production DispatchPolicy/WindowController driven by
-//     virtual end-to-end latencies (per batch member, at the end of its own
-//     critical-section segment), the lock-free get route (a get_lock_free
-//     profile serves gets with no lock acquisition at all — service time is
-//     the get class's cs_nops under the *non*-CS slowdown, the twin of the
-//     real worker's off-lock scale_ncs spin; puts in a mixed batch run
-//     first, inside the CS, with the deferred gets following the release in
-//     pop order — DESIGN.md §8), and the drain-on-stop invariant
-//     (completed == accepted).
-//   * elided: the engine's data structures (no keys are stored; service
-//     cost is the engine's per-op CostProfile — resolved_cost_profile, the
-//     same classes the real worker spins — under the machine model's
-//     big/little slowdowns, DESIGN.md §7), the EpochRegistry (the twin
-//     drives the
-//     controller/dispatch classes directly, like sim_runner does), OS
-//     scheduling of generator threads (arrivals fire exactly on schedule),
-//     and worker wake ordering (the lowest-index idle worker of a shard
-//     serves next; the real pop order is OS-dependent).
+// This file supplies only the virtual clock's machinery: engine events and
+// virtual time, the simulated shard lock (sim::SimLock, LockKind::
+// kBlockingReorderable by default) driven through the production
+// DispatchPolicy, per-(worker, class) WindowControllers fed each request's
+// virtual end-to-end latency, the machine model's big/little slowdowns as
+// the price of a NOP, and per-shard depth statistics. What that elides —
+// engine data structures, the EpochRegistry, generator jitter, OS wake
+// order — is listed in DESIGN.md §5.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "obs/timeseries_log.h"
-#include "server/kv_service.h"
+#include "server/service_core.h"
 #include "server/scenarios.h"
 #include "sim/core_model.h"
 #include "sim/sim_lock.h"

@@ -1,25 +1,22 @@
 #include "server/telemetry.h"
 
-#include "server/kv_service.h"
+#include "server/service_core.h"
 #include "stats/histogram.h"
 
 namespace asl::server {
 
-KvTelemetry::KvTelemetry(const KvServiceConfig& config,
-                         const KvAccounting& store)
-    : store_(store),
-      tracer_(store.registry().num_slots(),
-              config.telemetry.span_ring_capacity,
-              config.telemetry.span_sample_every) {
+KvTelemetry::KvTelemetry(const ServiceCore& core)
+    : core_(core),
+      tracer_(core.accounting().registry().num_slots(),
+              core.config().telemetry.span_ring_capacity,
+              core.config().telemetry.span_sample_every) {
+  const KvServiceConfig& config = core.config();
   const std::size_t num_classes = config.classes.size();
   const std::size_t num_shards = config.num_shards;
   const std::size_t cap = config.telemetry.max_ticks;
 
   s_class_.reserve(num_classes);
   s_shard_depth_.reserve(num_shards);
-  in_.class_accepted.resize(num_classes);
-  in_.class_shed.resize(num_classes);
-  in_.shard_depth.resize(num_shards);
 
   for (const RequestClass& c : config.classes) {
     // A braced list evaluates in order, so the series keep schema order.
@@ -45,14 +42,13 @@ KvTelemetry::KvTelemetry(const KvServiceConfig& config,
 }
 
 const obs::MetricsRegistry& KvTelemetry::registry() const {
-  return store_.registry();
+  return core_.accounting().registry();
 }
 
 std::uint64_t KvTelemetry::windowed_p99(std::size_t hist_index,
                                         obs::MetricId id,
                                         std::uint64_t* count) {
-  const std::uint64_t cumulative =
-      store_.registry().fold_buckets(id, cur_.data());
+  const std::uint64_t cumulative = registry().fold_buckets(id, cur_.data());
   if (count != nullptr) *count = cumulative;
   std::uint64_t* prev = prev_.data() + hist_index * Histogram::kNumBuckets;
   std::uint64_t total = 0;
@@ -67,28 +63,32 @@ std::uint64_t KvTelemetry::windowed_p99(std::size_t hist_index,
 }
 
 void KvTelemetry::fold_tick(Nanos t) {
+  // Relaxed racing reads of the counters report() folds, at sampler
+  // fidelity; the final tick after a drain reads them quiescent.
+  const KvAccounting& store = core_.accounting();
   const std::uint64_t ts = static_cast<std::uint64_t>(t);
-  const std::size_t num_classes = s_class_.size();
-  for (std::size_t c = 0; c < num_classes; ++c) {
+  const std::uint32_t num_classes = core_.num_classes();
+  for (std::uint32_t c = 0; c < num_classes; ++c) {
     // A class's completions are its latency histogram's count.
     std::uint64_t completed = 0;
-    const std::uint64_t p99 = windowed_p99(
-        c, store_.latency_metric(static_cast<std::uint32_t>(c)), &completed);
-    log_.append(s_class_[c].accepted, ts, in_.class_accepted[c]);
+    const std::uint64_t p99 =
+        windowed_p99(c, store.latency_metric(c), &completed);
+    const AdmissionCounts admitted = core_.admitted(c);
+    log_.append(s_class_[c].accepted, ts, admitted.accepted);
     log_.append(s_class_[c].completed, ts, completed);
-    log_.append(s_class_[c].shed, ts, in_.class_shed[c]);
+    log_.append(s_class_[c].shed, ts, admitted.shed);
     log_.append(s_class_[c].p99, ts, p99);
   }
-  for (std::size_t s = 0; s < s_shard_depth_.size(); ++s) {
-    log_.append(s_shard_depth_[s], ts, in_.shard_depth[s]);
+  for (std::uint32_t s = 0; s < s_shard_depth_.size(); ++s) {
+    log_.append(s_shard_depth_[s], ts, core_.queue(s).size());
   }
-  const LockRouteStats routes = store_.routes();
+  const LockRouteStats routes = store.routes();
   log_.append(s_lock_acquires_, ts,
               routes.get_route_acquires + routes.put_route_acquires);
   log_.append(s_lock_wait_p99_, ts,
-              windowed_p99(num_classes, store_.lock_wait_metric()));
+              windowed_p99(num_classes, store.lock_wait_metric()));
   log_.append(s_lock_hold_p99_, ts,
-              windowed_p99(num_classes + 1, store_.lock_hold_metric()));
+              windowed_p99(num_classes + 1, store.lock_hold_metric()));
   log_.append(s_lockfree_gets_, ts, routes.lockfree_gets);
   ticks_ += 1;
 }

@@ -1,14 +1,14 @@
 // KvTelemetry — the service-side telemetry bundle (DESIGN.md §11): one
-// time-series log + one span tracer, sampling the service's accounting
-// store (KvAccounting, kv_service.h) into the KV service's series schema.
+// time-series log + one span tracer, sampling a ServiceCore (its
+// accounting store, admission counters and queue depths —
+// service_core.h) into the KV service's series schema.
 //
 // It records nothing itself: workers record into the store, telemetry on or
 // off. The *sampler* (a real thread on the real path, virtual-time tick
-// events on the twin) fills inputs() with the counters that live outside
-// the store (admission, queue depths) and calls fold_tick, which folds the
-// store, computes windowed p99s from per-tick bucket deltas, and appends one
-// point per series. All fold scratch is preallocated, so a tick never
-// allocates. Traced requests record their phase spans into tracer().
+// events on the twin) calls fold_tick, which folds the core, computes
+// windowed p99s from per-tick bucket deltas, and appends one point per
+// series. All fold scratch is preallocated, so a tick never allocates.
+// Traced requests record their phase spans into tracer().
 //
 // Series schema (canonical order, identical on the real path and the twin
 // so the twin's virtual-time CSV is goldenable against this layout):
@@ -34,32 +34,21 @@
 
 namespace asl::server {
 
-struct KvServiceConfig;
-class KvAccounting;
-
-// One sampler fold's view of the counters that live outside the
-// accounting store, preallocated by KvTelemetry and filled by the service
-// right before each fold_tick.
-struct TelemetryTickInputs {
-  std::vector<std::uint64_t> class_accepted;  // [num_classes]
-  std::vector<std::uint64_t> class_shed;      // [num_classes]
-  std::vector<std::uint64_t> shard_depth;     // [num_shards]
-};
+class ServiceCore;
 
 class KvTelemetry {
  public:
-  // Builds the series and span rings for `config` (post-clamping, so
-  // classes is non-empty) over `store`, which must outlive this object.
-  // Every allocation the telemetry layer will ever make happens here.
-  KvTelemetry(const KvServiceConfig& config, const KvAccounting& store);
+  // Builds the series and span rings for `core`'s config over the core,
+  // which must outlive this object. Every allocation the telemetry layer
+  // will ever make happens here.
+  explicit KvTelemetry(const ServiceCore& core);
   KvTelemetry(const KvTelemetry&) = delete;
   KvTelemetry& operator=(const KvTelemetry&) = delete;
 
   // Appends one point to every series at time `t` (ns on the telemetry time
   // axis — wall-clock-since-start() on the real path, virtual time on the
-  // twin), reading inputs(). Single-threaded by contract: the real Sampler
-  // serializes its ticks, the twin is single-threaded by construction.
-  TelemetryTickInputs& inputs() { return in_; }
+  // twin). Single-threaded by contract: the real Sampler serializes its
+  // ticks, the twin is single-threaded by construction.
   void fold_tick(Nanos t);
 
   std::uint64_t ticks() const { return ticks_; }
@@ -76,8 +65,7 @@ class KvTelemetry {
   std::uint64_t windowed_p99(std::size_t hist_index, obs::MetricId id,
                              std::uint64_t* count = nullptr);
 
-  const KvAccounting& store_;
-  TelemetryTickInputs in_;
+  const ServiceCore& core_;
   obs::TimeSeriesLog log_;
   obs::SpanTracer tracer_;
 

@@ -37,11 +37,6 @@
 
 namespace asl::server {
 
-// The three ways admission can go, in the order try_push_below reports
-// them: admitted to a shard queue, deliberately shed at a class watermark,
-// or hard-rejected by a full queue. Stable on-disk values.
-enum class TraceDecision : std::uint8_t { kAdmit = 0, kShed = 1, kReject = 2 };
-
 // One offered request, in processing order. `at` is the arrival instant
 // relative to the run start (virtual ns on the twin, recorder-origin-
 // relative wall ns on the real path); `value_size` is the byte length of

@@ -18,11 +18,13 @@
 #include "platform/rng.h"
 #include "server/kv_service.h"
 #include "server/request_queue.h"
+#include "server/service_core.h"
 #include "server/telemetry.h"
 
 namespace asl {
 namespace {
 
+using server::Batch;
 using server::BoundedQueue;
 using server::KvService;
 using server::KvServiceConfig;
@@ -129,6 +131,43 @@ TEST(ValueArena, FormatReleaseCyclesAreHeapFree) {
     arena.release();
   }
   EXPECT_EQ(thread_alloc_count() - before, 0u);
+}
+
+// The kernel's batch formation and route split on a lock-free profile:
+// filing each member into its route as it is popped needs no scratch, so a
+// full mixed kMaxBatch batch — admitted, popped, extended, routed and
+// priced — touches the heap zero times. (A partition pass over the formed
+// batch would not: libstdc++'s std::stable_partition allocates a buffer.)
+TEST(ServiceCoreAlloc, FullMixedLockFreeBatchIsHeapFree) {
+  KvServiceConfig cfg;
+  cfg.engine = "mvcc";
+  cfg.num_shards = 1;
+  cfg.queue_capacity = server::kMaxBatch;
+  cfg.batch_k = server::kMaxBatch;
+  server::ServiceCore core(cfg, server::ServiceCore::Slots::kPerWorker);
+  ASSERT_TRUE(core.cost().get_lock_free);
+  Batch batch = core.batch();
+
+  const std::uint64_t before = thread_alloc_count();
+  std::uint64_t nops = 0;
+  for (int round = 0; round < 100; ++round) {
+    for (std::uint64_t i = 0; i < server::kMaxBatch; ++i) {
+      const OpType op = i % 2 == 0 ? OpType::kPut : OpType::kGet;
+      ASSERT_EQ(core.admit(Request{op, i, 0, Nanos{0}}, 0),
+                server::TraceDecision::kAdmit);
+    }
+    Request head;
+    ASSERT_TRUE(core.queue(0).try_pop(head));
+    batch.start(head, 1);
+    batch.extend(core.queue(0), [] { return Nanos{2}; });
+    ASSERT_EQ(batch.size(), server::kMaxBatch);
+    ASSERT_EQ(batch.cs_count(), server::kMaxBatch / 2);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      nops += core.price(batch[i].req.op, batch.segment(i)).nops;
+    }
+  }
+  EXPECT_EQ(thread_alloc_count() - before, 0u);
+  EXPECT_GT(nops, 0u);
 }
 
 // MvKv's pooled copy-on-write path: after enough puts over a bounded

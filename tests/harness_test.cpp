@@ -1,9 +1,14 @@
 // Real-thread harness tests: worker roles, fixed-duration runs, latency
-// split accounting, workload helpers.
+// split accounting, workload helpers, shape-check reporting.
 #include <gtest/gtest.h>
+
+#include <iostream>
+#include <sstream>
+#include <string>
 
 #include "stats/latency_split.h"
 #include "harness/runner.h"
+#include "harness/scenario.h"
 #include "workload/cs_workload.h"
 
 namespace asl {
@@ -121,6 +126,71 @@ TEST(Runner, LatencyRecordsMergeAcrossWorkers) {
   EXPECT_GT(stats.latency.overall().count(), 0u);
   EXPECT_GT(stats.latency.big().count(), 0u);
   EXPECT_GT(stats.latency.little().count(), 0u);
+}
+
+// Captures everything written to std::cout while alive.
+class CoutCapture {
+ public:
+  CoutCapture() : old_(std::cout.rdbuf(out_.rdbuf())) {}
+  ~CoutCapture() { std::cout.rdbuf(old_); }
+  std::string str() const { return out_.str(); }
+
+ private:
+  std::ostringstream out_;
+  std::streambuf* old_;
+};
+
+TEST(ShapeSkip, PrintsTheReasonAndLeavesTheVerdictAlone) {
+  bench::ScenarioContext ctx("shape_skip_test", 1.0, nullptr);
+  std::string printed;
+  {
+    CoutCapture capture;
+    ctx.shape_skip("bracket ordered", "no SLO-feasible rate found");
+    printed = capture.str();
+  }
+  EXPECT_EQ(printed,
+            "  [shape SKIP] bracket ordered: no SLO-feasible rate found\n");
+  EXPECT_TRUE(ctx.all_ok()) << "a skip is not a failure";
+  EXPECT_EQ(ctx.skipped(), 1u);
+  {
+    CoutCapture capture;
+    ctx.shape_check(false, "a real failure");
+  }
+  EXPECT_FALSE(ctx.all_ok()) << "nor does a skip mask one";
+  EXPECT_EQ(ctx.skipped(), 1u);
+}
+
+}  // namespace
+}  // namespace asl
+
+// One passing check and one skipped check; explicit-only, so it runs only
+// when named.
+ASL_SCENARIO_EXPLICIT(harness_skip_probe, "one pass, one skip") {
+  ctx.shape_check(true, "premise-free check");
+  ctx.shape_skip("premised check", "premise did not hold");
+}
+
+namespace asl {
+namespace {
+
+TEST(ShapeSkip, ScenarioMainSummaryCountsSkipsAndExitsZero) {
+  char prog[] = "harness_test";
+  char name[] = "harness_skip_probe";
+  char* argv[] = {prog, name};
+  int rc = -1;
+  std::string printed;
+  {
+    CoutCapture capture;
+    rc = bench::scenario_main(2, argv, nullptr);
+    printed = capture.str();
+  }
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(printed.find("  [shape SKIP] premised check: premise did not "
+                         "hold\n"),
+            std::string::npos);
+  EXPECT_NE(printed.find("\nAll shape checks passed (1 skipped).\n"),
+            std::string::npos)
+      << printed;
 }
 
 }  // namespace

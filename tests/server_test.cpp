@@ -201,6 +201,163 @@ TEST(AdmissionPolicyTest, ShedThresholdFormulaAndClamps) {
   EXPECT_EQ(shed_threshold(AdmissionPolicy{1, 2.0}, 128), 128u);
 }
 
+// ------------------------------------------------------ service core kernel
+// ServiceCore (service_core.h) is the one policy both clocks run. These
+// pin its contract with no threads and no clock: every instant is passed
+// in, so the batch waits below are exact.
+
+KvServiceConfig core_config(const char* engine, std::uint32_t batch_k) {
+  KvServiceConfig cfg;
+  cfg.engine = engine;
+  cfg.num_shards = 1;
+  cfg.queue_capacity = 16;
+  cfg.batch_k = batch_k;
+  return cfg;
+}
+
+// Admits `ops` to shard 0 in order; request i has key i, enqueued at 10*i.
+void admit_ops(ServiceCore& core, const std::vector<OpType>& ops) {
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    ASSERT_EQ(core.admit(Request{ops[i], i, 0, static_cast<Nanos>(10 * i)}, 0),
+              TraceDecision::kAdmit);
+  }
+}
+
+// Pops shard 0's head at t=100 and, if the batch locks, extends at t=200.
+Batch form_batch(ServiceCore& core) {
+  Batch batch = core.batch();
+  Request head;
+  EXPECT_TRUE(core.queue(0).try_pop(head));
+  batch.start(head, 100);
+  batch.extend(core.queue(0), [] { return Nanos{200}; });
+  return batch;
+}
+
+constexpr OpType kG = OpType::kGet;
+constexpr OpType kP = OpType::kPut;
+
+TEST(ServiceCore, LockFreeProfileServesPutsInTheLockThenDeferredGets) {
+  ServiceCore core(core_config("mvcc", 8), ServiceCore::Slots::kPerWorker);
+  ASSERT_TRUE(core.cost().get_lock_free);
+  admit_ops(core, {kP, kG, kP, kG, kP});  // head P0, waiting [G P G P]
+  const Batch batch = form_batch(core);
+  ASSERT_TRUE(batch.locked());
+  ASSERT_EQ(batch.size(), 5u);
+  ASSERT_EQ(batch.cs_count(), 3u);
+  // The head first, the puts in the CS, then the gets deferred past the
+  // release — each route in pop order.
+  const std::uint64_t serve_order[] = {0, 2, 4, 1, 3};
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch[i].req.key, serve_order[i]) << i;
+    EXPECT_EQ(batch.segment(i),
+              i < 3 ? Segment::kCritical : Segment::kLockFree)
+        << i;
+  }
+  // Waits freeze at pop time, whatever the serve order.
+  EXPECT_EQ(batch[0].wait, 100u);
+  EXPECT_EQ(batch[1].wait, 200u - 20u);
+  EXPECT_EQ(batch[3].wait, 200u - 10u);
+  EXPECT_EQ(core.queue(0).size(), 0u);
+}
+
+TEST(ServiceCore, LockedProfileServesEveryMemberInTheLockInPopOrder) {
+  ServiceCore core(core_config("hash", 8), ServiceCore::Slots::kPerWorker);
+  ASSERT_FALSE(core.cost().get_lock_free);
+  admit_ops(core, {kG, kP, kG, kP, kG});
+  const Batch batch = form_batch(core);
+  ASSERT_EQ(batch.size(), 5u);
+  EXPECT_EQ(batch.cs_count(), 5u);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch[i].req.key, i);
+    EXPECT_EQ(batch.segment(i), Segment::kCritical);
+  }
+}
+
+TEST(ServiceCore, LockFreeGetHeadTakesNoLockAndServesAlone) {
+  ServiceCore core(core_config("mvcc", 8), ServiceCore::Slots::kPerWorker);
+  admit_ops(core, {kG, kP, kG});
+  const Batch batch = form_batch(core);
+  EXPECT_FALSE(batch.locked());
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.cs_count(), 0u);
+  EXPECT_EQ(batch[0].req.key, 0u);
+  EXPECT_EQ(batch.segment(0), Segment::kLockFree);
+  EXPECT_EQ(core.queue(0).size(), 2u) << "a lockless batch never extends";
+}
+
+TEST(ServiceCore, ExtensionStopsAtBatchKAndAtAnEmptyQueue) {
+  ServiceCore core(core_config("hash", 3), ServiceCore::Slots::kPerWorker);
+  admit_ops(core, {kP, kP, kP, kP, kP});
+  const Batch first = form_batch(core);
+  EXPECT_EQ(first.size(), 3u) << "batch_k caps the extension";
+  EXPECT_EQ(core.queue(0).size(), 2u);
+  const Batch second = form_batch(core);
+  EXPECT_EQ(second.size(), 2u) << "the drain never waits for arrivals";
+  EXPECT_EQ(second[0].req.key, 3u);
+  EXPECT_EQ(core.queue(0).size(), 0u);
+
+  ServiceCore solo(core_config("hash", 1), ServiceCore::Slots::kPerWorker);
+  admit_ops(solo, {kP, kP});
+  EXPECT_EQ(form_batch(solo).size(), 1u) << "batch_k 1 is the unbatched path";
+}
+
+TEST(ServiceCore, ShedCountsAsRejectedAndShedFullAsRejectedOnly) {
+  KvServiceConfig cfg = core_config("hash", 1);
+  cfg.queue_capacity = 4;
+  cfg.classes.push_back(RequestClass{"core-tight", 0, {}});
+  cfg.classes.push_back(RequestClass{"core-loose", 0, AdmissionPolicy{1, 0.5}});
+  ServiceCore core(cfg, ServiceCore::Slots::kPerWorker);
+  const auto admit = [&core](std::uint32_t c) {
+    return core.admit(Request{kP, 0, c, 0}, 0);
+  };
+  EXPECT_EQ(admit(1), TraceDecision::kAdmit);
+  EXPECT_EQ(admit(1), TraceDecision::kAdmit);
+  EXPECT_EQ(admit(1), TraceDecision::kShed) << "depth 2 = 4 * 0.5";
+  EXPECT_EQ(admit(0), TraceDecision::kAdmit);
+  EXPECT_EQ(admit(0), TraceDecision::kAdmit);
+  EXPECT_EQ(admit(0), TraceDecision::kReject) << "the queue is full";
+  EXPECT_EQ(admit(1), TraceDecision::kReject) << "full beats the watermark";
+
+  const ServiceReport report = core.report();
+  EXPECT_EQ(report.classes[0].accepted, 2u);
+  EXPECT_EQ(report.classes[0].rejected, 1u);
+  EXPECT_EQ(report.classes[0].shed, 0u);
+  EXPECT_EQ(report.classes[1].accepted, 2u);
+  EXPECT_EQ(report.classes[1].rejected, 2u);
+  EXPECT_EQ(report.classes[1].shed, 1u);
+}
+
+TEST(ServiceCore, DeferredGetIsPricedAtGetCsNopsAtNonCsSpeed) {
+  ServiceCore core(core_config("mvcc", 8), ServiceCore::Slots::kPerWorker);
+  const db::CostProfile& cost = core.cost();
+  const Price deferred = core.price(kG, Segment::kLockFree);
+  EXPECT_EQ(deferred.nops, cost.get.cs_nops);
+  EXPECT_FALSE(deferred.cs_speed);
+  const Price in_cs = core.price(kP, Segment::kCritical);
+  EXPECT_EQ(in_cs.nops, cost.put.cs_nops);
+  EXPECT_TRUE(in_cs.cs_speed);
+  const Price post = core.price(kP, Segment::kPost);
+  EXPECT_EQ(post.nops, cost.put.post_nops);
+  EXPECT_FALSE(post.cs_speed);
+}
+
+TEST(ServiceCore, AccountingSlotsFollowTheClock) {
+  KvServiceConfig cfg = core_config("hash", 1);
+  cfg.num_shards = 2;
+  cfg.workers_per_shard = 2;
+  cfg.big_workers = 1;
+  const ServiceCore real(cfg, ServiceCore::Slots::kPerWorker);
+  const ServiceCore twin(cfg, ServiceCore::Slots::kPerCoreType);
+  ASSERT_EQ(real.workers().size(), 4u);
+  for (std::uint32_t w = 0; w < 4; ++w) {
+    EXPECT_EQ(real.workers()[w].shard, w % 2);
+    EXPECT_EQ(real.workers()[w].type,
+              w < 1 ? CoreType::kBig : CoreType::kLittle);
+    EXPECT_EQ(real.workers()[w].slot, w) << "one writer per slot";
+    EXPECT_EQ(twin.workers()[w].slot, w < 1 ? 0u : 1u) << "one per core type";
+  }
+}
+
 TEST(ServiceAdmission, LooseClassShedsAtWatermarkTightKeepsTheQueue) {
   // Single shard, capacity 16, loose class shedding at half depth: a put
   // storm stops being admitted at depth 8 (all bounces counted as sheds —
