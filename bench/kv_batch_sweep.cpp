@@ -162,6 +162,7 @@ void run_batch_sweep_real(ScenarioContext& ctx) {
                "put_shed"});
   bool conserved = true;
   bool shed_attribution = true;
+  std::uint64_t sheds_with_policy_on = 0;
   for (const bool shed : {false, true}) {
     for (const std::uint32_t k : {1u, 4u, 16u}) {
       KvScenario sc = server::make_kv_scenario("kv_batch_shed");
@@ -169,8 +170,8 @@ void run_batch_sweep_real(ScenarioContext& ctx) {
       sc.service.prefill_keys = 4096;
       // A small queue, a heavier critical section and 20x nominal load make
       // backpressure likely even in a short smoke run on a fast host; the
-      // wall-clock cells stay accounting-only regardless, so a quiet runner
-      // that absorbs everything still passes.
+      // wall-clock cells stay accounting-only regardless, and a quiet runner
+      // that absorbs everything skips the attribution check below.
       sc.service.queue_capacity = 32;
       sc.service.cost_scale = 50.0;  // hash default cs class -> 20k NOPs
       if (!shed) sc.service.classes[1].admission = AdmissionPolicy{};
@@ -196,12 +197,21 @@ void run_batch_sweep_real(ScenarioContext& ctx) {
       // policy is on; the protected tight class must never record one.
       shed_attribution = shed_attribution && get.shed == 0 &&
                          (shed || put.shed == 0) && put.shed <= put.rejected;
+      if (shed) sheds_with_policy_on += r.total_shed();
     }
   }
   ctx.emit(sweep, "batch_sweep_real");
   ctx.shape_check(conserved, "stop() drains every accepted request");
-  ctx.shape_check(shed_attribution,
-                  "sheds attributed only to the sheddable class");
+  // With no shed anywhere the attribution holds vacuously, so it is
+  // reported as skipped; a misattributed shed still fails.
+  const std::string attribution =
+      "sheds attributed only to the sheddable class";
+  if (shed_attribution && sheds_with_policy_on == 0) {
+    ctx.shape_skip(attribution, "no shed-on cell shed a request (the host "
+                                "absorbed the overload)");
+  } else {
+    ctx.shape_check(shed_attribution, attribution);
+  }
 }
 
 }  // namespace

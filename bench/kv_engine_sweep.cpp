@@ -445,13 +445,14 @@ void run_mvcc_read_scaling_real(ScenarioContext& ctx) {
   // ordering needs actual hardware parallelism — on a 1-2 core host the 8
   // off-lock workers timeshare one pipeline and the lock is not the
   // bottleneck — so it is asserted only where it can physically appear.
+  const std::string ordering =
+      "mvcc completes more than hash under the single-shard get-heavy "
+      "overload";
   if (std::thread::hardware_concurrency() >= 4) {
-    ctx.shape_check(completed["mvcc"] > completed["hash"],
-                    "mvcc completes more than hash under the single-shard "
-                    "get-heavy overload");
+    ctx.shape_check(completed["mvcc"] > completed["hash"], ordering);
   } else {
-    ctx.note("host has < 4 cores: completion-ordering check skipped (the "
-             "off-lock gets have no parallelism to win)");
+    ctx.shape_skip(ordering, "host has < 4 cores, so the off-lock gets have "
+                             "no parallelism to win");
   }
 }
 

@@ -145,26 +145,7 @@ bool MiniSql::Txn::ensure_reserved() {
 bool MiniSql::Txn::insert(const std::string& table, Row row) {
   if (!active_ || !ensure_reserved()) return false;
   if (db_->find_table(table) == nullptr) return false;
-  writes_.push_back(
-      PendingWrite{PendingWrite::Kind::kInsert, table, std::move(row)});
-  return true;
-}
-
-bool MiniSql::Txn::update(const std::string& table, std::int64_t id,
-                          std::int64_t new_score,
-                          const std::string& new_payload) {
-  if (!active_ || !ensure_reserved()) return false;
-  if (db_->find_table(table) == nullptr) return false;
-  writes_.push_back(PendingWrite{PendingWrite::Kind::kUpdate, table,
-                                 Row{id, new_score, new_payload, false}});
-  return true;
-}
-
-bool MiniSql::Txn::erase(const std::string& table, std::int64_t id) {
-  if (!active_ || !ensure_reserved()) return false;
-  if (db_->find_table(table) == nullptr) return false;
-  writes_.push_back(PendingWrite{PendingWrite::Kind::kDelete, table,
-                                 Row{id, 0, std::string(), false}});
+  writes_.push_back(PendingWrite{table, std::move(row)});
   return true;
 }
 
@@ -174,11 +155,9 @@ std::optional<MiniSql::Row> MiniSql::Txn::select_point(
   ensure_shared();
   const Table* t = db_->find_table(table);
   if (t == nullptr) return std::nullopt;
-  for (auto [it, end] = t->id_index.equal_range(id); it != end; ++it) {
-    const Row& row = t->rows[it->second];
-    if (!row.deleted) return row;
-  }
-  return std::nullopt;
+  const auto [it, end] = t->id_index.equal_range(id);
+  if (it == end) return std::nullopt;
+  return t->rows[it->second];
 }
 
 std::vector<MiniSql::Row> MiniSql::Txn::select_range(const std::string& table,
@@ -193,21 +172,16 @@ std::vector<MiniSql::Row> MiniSql::Txn::select_range(const std::string& table,
   for (auto it = t->id_index.lower_bound(lo);
        it != t->id_index.end() && it->first <= hi; ++it) {
     const Row& row = t->rows[it->second];
-    if (!row.deleted && row.score >= min_score) out.push_back(row);
+    if (row.score >= min_score) out.push_back(row);
   }
   return out;
 }
 
 std::vector<MiniSql::Row> MiniSql::Txn::full_scan(const std::string& table) {
-  std::vector<Row> out;
-  if (!active_) return out;
+  if (!active_) return {};
   ensure_shared();
   const Table* t = db_->find_table(table);
-  if (t == nullptr) return out;
-  for (const Row& row : t->rows) {
-    if (!row.deleted) out.push_back(row);
-  }
-  return out;
+  return t == nullptr ? std::vector<Row>{} : t->rows;
 }
 
 bool MiniSql::Txn::commit() {
@@ -222,28 +196,8 @@ bool MiniSql::Txn::commit() {
   for (PendingWrite& w : writes_) {
     Table* t = db_->find_table(w.table);
     if (t == nullptr) continue;
-    switch (w.kind) {
-      case PendingWrite::Kind::kInsert:
-        t->rows.push_back(std::move(w.row));
-        t->id_index.emplace(t->rows.back().id, t->rows.size() - 1);
-        break;
-      case PendingWrite::Kind::kUpdate:
-        for (auto [it, end] = t->id_index.equal_range(w.row.id); it != end;
-             ++it) {
-          Row& row = t->rows[it->second];
-          if (!row.deleted) {
-            row.score = w.row.score;
-            row.payload = w.row.payload;
-          }
-        }
-        break;
-      case PendingWrite::Kind::kDelete:
-        for (auto [it, end] = t->id_index.equal_range(w.row.id); it != end;
-             ++it) {
-          t->rows[it->second].deleted = true;
-        }
-        break;
-    }
+    t->rows.push_back(std::move(w.row));
+    t->id_index.emplace(t->rows.back().id, t->rows.size() - 1);
   }
   {
     LockGuard<AslMutex<McsLock>> guard(db_->state_lock_);
@@ -303,25 +257,9 @@ std::vector<MiniSql::Row> MiniSql::full_scan(const std::string& table) {
   return rows;
 }
 
-bool MiniSql::update(const std::string& table, std::int64_t id,
-                     std::int64_t new_score, const std::string& new_payload) {
-  Txn txn = begin();
-  if (!txn.update(table, id, new_score, new_payload)) return false;
-  return txn.commit();
-}
-
-bool MiniSql::erase(const std::string& table, std::int64_t id) {
-  Txn txn = begin();
-  if (!txn.erase(table, id)) return false;
-  return txn.commit();
-}
-
 std::size_t MiniSql::table_rows(const std::string& table) const {
   const Table* t = find_table(table);
-  if (t == nullptr) return 0;
-  std::size_t n = 0;
-  for (const Row& row : t->rows) n += row.deleted ? 0 : 1;
-  return n;
+  return t == nullptr ? 0 : t->rows.size();
 }
 
 }  // namespace asl::db

@@ -38,7 +38,6 @@ class MiniSql {
     std::int64_t id = 0;       // indexed column
     std::int64_t score = 0;    // non-indexed column (complex-select filter)
     std::string payload;
-    bool deleted = false;      // tombstone (DELETE marks, VACUUM-less)
   };
 
   MiniSql() = default;
@@ -58,15 +57,6 @@ class MiniSql {
 
     // INSERT INTO table VALUES (row). First write upgrades to RESERVED.
     bool insert(const std::string& table, Row row);
-
-    // UPDATE table SET score, payload WHERE id = ?. Buffered like insert;
-    // returns false on SQLITE_BUSY (another writer holds RESERVED).
-    bool update(const std::string& table, std::int64_t id,
-                std::int64_t new_score, const std::string& new_payload);
-
-    // DELETE FROM table WHERE id = ?. Buffered; rows are tombstoned at
-    // commit (SQLite reuses freed pages rather than compacting).
-    bool erase(const std::string& table, std::int64_t id);
 
     // SELECT * WHERE id = ? (point query via the id index).
     std::optional<Row> select_point(const std::string& table,
@@ -99,10 +89,8 @@ class MiniSql {
     bool active_ = true;
     LockState state_ = LockState::kUnlocked;
     struct PendingWrite {
-      enum class Kind : std::uint8_t { kInsert, kUpdate, kDelete };
-      Kind kind = Kind::kInsert;
       std::string table;
-      Row row;  // kInsert: full row; kUpdate: id+score+payload; kDelete: id
+      Row row;
     };
     std::vector<PendingWrite> writes_;
   };
@@ -112,9 +100,6 @@ class MiniSql {
 
   // Autocommit helpers (each wraps one op in a transaction).
   bool insert(const std::string& table, Row row);
-  bool update(const std::string& table, std::int64_t id,
-              std::int64_t new_score, const std::string& new_payload);
-  bool erase(const std::string& table, std::int64_t id);
   std::optional<Row> select_point(const std::string& table, std::int64_t id);
   std::vector<Row> select_range(const std::string& table, std::int64_t lo,
                                 std::int64_t hi, std::int64_t min_score);

@@ -1,5 +1,7 @@
-// Type-erased Lockable, used where the lock implementation must be chosen at
-// runtime (pthread interposition shim, harness lock-name dispatch).
+// Type-erased Lockable, for choosing a lock implementation by name at
+// runtime. Its one user is property_test's mutual-exclusion sweep, which
+// runs the same counter check over every lock kind through it; the
+// interposition shim and the harness name their lock types statically.
 #pragma once
 
 #include <memory>

@@ -72,16 +72,6 @@ class McsLock {
     return tail_.load(std::memory_order_relaxed) == nullptr;
   }
 
-  // For the calling thread, which must be the current holder: is another
-  // thread queued behind it? (Cohort locks use this for the in-node passing
-  // decision.) Racy in the benign direction: a successor that enqueues
-  // concurrently may be missed once.
-  bool holder_has_successor() const {
-    const Node* me = &nodes_[thread_id()];
-    return me->next.load(std::memory_order_acquire) != nullptr ||
-           tail_.load(std::memory_order_acquire) != me;
-  }
-
  private:
   struct alignas(kCacheLine) Node {
     std::atomic<Node*> next{nullptr};

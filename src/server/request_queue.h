@@ -17,17 +17,24 @@
 // tells it whether a rejection was a deliberate shed (watermark hit, queue
 // not full) or genuine exhaustion.
 //
-// Producers never block; consumers block on a CondVar (the litl-style
-// shadow-mutex condvar from asl/condvar.h) until an item or close() arrives.
+// Synchronization is one std::mutex and one std::condition_variable bound
+// to it. Producers never block; a popper waits on the queue's own mutex
+// until an item or close() arrives, and a push notifies after unlocking, so
+// the woken popper does not collide with the pusher still holding the lock.
+// There is no parked-popper counter to skip the notify when nobody waits:
+// glibc's condition variable already tracks its waiters, so notify_one with
+// none is a few ns and no futex call — a counter would keep the same fact
+// twice. (asl::CondVar is for waiting on LibASL mutexes; this queue's lock
+// is a plain mutex, so it needs no shadow mutex.)
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <utility>
 #include <vector>
 
-#include "asl/condvar.h"
-#include "locks/pthread_lock.h"
 #include "platform/cacheline.h"
 
 namespace asl::server {
@@ -65,19 +72,14 @@ class BoundedQueue {
   // plain try_push (kShed is never returned); a limit of 0 sheds everything
   // for that class while the queue stays open to others.
   PushResult try_push_below(T item, std::size_t limit) {
-    lock_.lock();
-    if (closed_ || count_ >= capacity_) {
-      lock_.unlock();
-      return PushResult::kFull;
+    {
+      std::lock_guard<std::mutex> guard(mutex_);
+      if (closed_ || count_ >= capacity_) return PushResult::kFull;
+      if (count_ >= limit) return PushResult::kShed;
+      ring_[(head_ + count_) % capacity_] = std::move(item);
+      count_ += 1;
     }
-    if (count_ >= limit) {
-      lock_.unlock();
-      return PushResult::kShed;
-    }
-    ring_[(head_ + count_) % capacity_] = std::move(item);
-    count_ += 1;
-    lock_.unlock();
-    not_empty_.signal();
+    not_empty_.notify_one();
     return PushResult::kOk;
   }
 
@@ -85,22 +87,10 @@ class BoundedQueue {
   // fully drained (false). Closed-but-nonempty queues keep delivering, so
   // every accepted request is eventually served.
   bool pop(T& out) {
-    lock_.lock();
-    while (count_ == 0 && !closed_) {
-      not_empty_.wait(lock_);
-    }
-    if (count_ == 0) {
-      lock_.unlock();
-      return false;
-    }
-    out = std::move(ring_[head_]);
-    // Reset the slot: a moved-from element may still own resources (arena
-    // handles, strings), and leaving it in the ring keeps them alive until
-    // the slot happens to be overwritten — a leak-by-delay under low load.
-    ring_[head_] = T{};
-    head_ = (head_ + 1) % capacity_;
-    count_ -= 1;
-    lock_.unlock();
+    std::unique_lock<std::mutex> guard(mutex_);
+    not_empty_.wait(guard, [this] { return count_ != 0 || closed_; });
+    if (count_ == 0) return false;
+    take_head(out);
     return true;
   }
 
@@ -110,65 +100,60 @@ class BoundedQueue {
   // grows only with requests that are already waiting, it never stalls the
   // critical section waiting for arrivals.
   bool try_pop(T& out) {
-    lock_.lock();
-    if (count_ == 0) {
-      lock_.unlock();
-      return false;
-    }
-    out = std::move(ring_[head_]);
-    ring_[head_] = T{};  // same leak-by-delay rule as pop()
-    head_ = (head_ + 1) % capacity_;
-    count_ -= 1;
-    lock_.unlock();
+    std::lock_guard<std::mutex> guard(mutex_);
+    if (count_ == 0) return false;
+    take_head(out);
     return true;
   }
 
-  // Rejects future pushes and wakes all poppers. Idempotent.
+  // Rejects future pushes and wakes all poppers. Idempotent. Closed is
+  // terminal: pushes fail forever, pops drain what remains.
   void close() {
-    lock_.lock();
-    closed_ = true;
-    lock_.unlock();
-    not_empty_.broadcast();
+    {
+      std::lock_guard<std::mutex> guard(mutex_);
+      closed_ = true;
+    }
+    not_empty_.notify_all();
   }
 
   // Instantaneous depth; a point-in-time read that concurrent pushes and
   // pops may move immediately.
   std::size_t size() const {
-    lock_.lock();
-    const std::size_t n = count_;
-    lock_.unlock();
-    return n;
+    std::lock_guard<std::mutex> guard(mutex_);
+    return count_;
   }
 
   // The clamped capacity (construction clamps 0 to 1); constant, so
   // callers may derive admission thresholds from it once.
   std::size_t capacity() const { return capacity_; }
 
-  // Whether close() has been called. Closed is terminal: pushes fail
-  // forever, pops drain what remains.
-  bool closed() const {
-    lock_.lock();
-    const bool c = closed_;
-    lock_.unlock();
-    return c;
+ private:
+  // Caller holds mutex_ and count_ > 0. Resets the slot: a moved-from
+  // element may still own resources (arena handles, strings), and leaving
+  // it in the ring keeps them alive until the slot happens to be
+  // overwritten — a leak-by-delay under low load.
+  void take_head(T& out) {
+    out = std::move(ring_[head_]);
+    ring_[head_] = T{};
+    head_ = (head_ + 1) % capacity_;
+    count_ -= 1;
   }
 
- private:
   // Cache-line placement: the immutable fields (capacity_, the ring's
   // control block — its data pointer never moves after construction) share
-  // a read-only line, while the lock word sits on its own line *with* the
-  // cursors it guards — lock, head_, count_ and closed_ travel together
+  // a read-only line, while the mutex sits on its own line *with* the
+  // cursors it guards — mutex, head_, count_ and closed_ travel together
   // through every push/pop, so splitting them across lines would just add
   // coherence misses, and padding the group keeps neighbouring objects
   // (the shard's BlockingAslMutex, another queue in an array) from sharing
   // a line with this queue's hottest word.
   const std::size_t capacity_;
   std::vector<T> ring_;   // ring buffer: [head_, head_ + count_) mod capacity
-  alignas(kCacheLine) mutable PthreadLock lock_;
-  std::size_t head_ = 0;  // guarded by lock_
+  alignas(kCacheLine) mutable std::mutex mutex_;
+  std::size_t head_ = 0;  // guarded by mutex_
   std::size_t count_ = 0;
   bool closed_ = false;
-  CondVar not_empty_;
+  std::condition_variable not_empty_;
 };
 
 }  // namespace asl::server

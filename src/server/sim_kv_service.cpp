@@ -6,7 +6,9 @@
 
 #include "asl/runtime.h"
 #include "server/telemetry.h"
+#include "sim/core_model.h"
 #include "sim/engine.h"
+#include "sim/sim_lock.h"
 
 namespace asl::server {
 
@@ -44,6 +46,7 @@ struct SimKvService::Impl {
 
   ServiceCore core;
   SimTwinConfig twin;
+  const sim::MachineParams machine{};  // the twin's constant machine model
   Rng rng;
   sim::Engine eng;
   std::vector<std::unique_ptr<Shard>> shards;
@@ -63,7 +66,8 @@ struct SimKvService::Impl {
         rng(twin.seed) {
     for (std::uint32_t s = 0; s < core.config().num_shards; ++s) {
       auto shard = std::make_unique<Shard>();
-      shard->lock = make_sim_lock(twin.lock, &eng, &twin.machine, &rng);
+      shard->lock = make_sim_lock(sim::LockKind::kBlockingReorderable, &eng,
+                                  &machine, &rng);
       shards.push_back(std::move(shard));
     }
     for (const WorkerSpec& spec : core.workers()) {
@@ -90,8 +94,8 @@ struct SimKvService::Impl {
   // advance virtual time.
   sim::Time virtual_ns(CoreType type, Price price) const {
     const double ns = static_cast<double>(price.nops) * twin.nop_ns *
-                      (price.cs_speed ? twin.machine.cs_slowdown(type)
-                                      : twin.machine.ncs_slowdown(type));
+                      (price.cs_speed ? machine.cs_slowdown(type)
+                                      : machine.ncs_slowdown(type));
     return ns < 1.0 ? sim::Time{1} : static_cast<sim::Time>(ns);
   }
 

@@ -11,8 +11,8 @@
 // regression-testable facts instead of wall-clock luck.
 //
 // This file supplies only the virtual clock's machinery: engine events and
-// virtual time, the simulated shard lock (sim::SimLock, LockKind::
-// kBlockingReorderable by default) driven through the production
+// virtual time, the simulated shard lock (sim::SimLock, always LockKind::
+// kBlockingReorderable) driven through the production
 // DispatchPolicy, per-(worker, class) WindowControllers fed each request's
 // virtual end-to-end latency, the machine model's big/little slowdowns as
 // the price of a NOP, and per-shard depth statistics. What that elides —
@@ -26,22 +26,20 @@
 #include "obs/timeseries_log.h"
 #include "server/service_core.h"
 #include "server/scenarios.h"
-#include "sim/core_model.h"
-#include "sim/sim_lock.h"
 #include "stats/table.h"
 #include "workload/open_loop.h"
 #include "workload/trace.h"
 
 namespace asl::server {
 
-// Twin-only knobs: the machine model supplying service-cost asymmetry and
-// lock-handover costs, plus the NOP calibration tying the resolved per-op
-// CostProfile's classes to virtual time.
+// Twin-only knobs: the NOP calibration tying the resolved per-op
+// CostProfile's classes to virtual time, and the lock model's seed. The
+// machine model (sim::MachineParams{}: service-cost asymmetry and
+// lock-handover costs) and the shard-lock model (LockKind::
+// kBlockingReorderable, the twin of the real service's Bench-6
+// BlockingAslMutex) are the twin's constants, not knobs: a different lock
+// would be derived at construction from the service it mirrors.
 struct SimTwinConfig {
-  sim::MachineParams machine{};
-  // Shard-lock model. The real service uses BlockingAslMutex (Bench-6), so
-  // the blocking reorderable simulated lock is the faithful default.
-  sim::LockKind lock = sim::LockKind::kBlockingReorderable;
   // Virtual ns per emulated NOP on a big core (experiment.h's "1 NOP ~
   // 0.4 ns" calibration); little cores stretch by the machine slowdowns.
   double nop_ns = 0.4;

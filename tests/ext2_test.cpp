@@ -1,117 +1,12 @@
-// Tests for second-round extensions: the asymmetry-aware reader-writer lock,
-// LsmKv range scans and MiniSql UPDATE/DELETE.
+// LsmKv range scans: newest version wins across runs, tombstones are
+// suppressed, a snapshot's range is stable under later writes, and empty
+// and single-key ranges.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-#include <vector>
-
 #include "db/lsmkv.h"
-#include "db/minisql.h"
-#include "locks/rw_lock.h"
-#include "platform/rng.h"
 
 namespace asl {
 namespace {
-
-// ------------------------------------------------------------------ RwLock
-
-TEST(RwLock, ReadersShareWritersExclude) {
-  RwLock<> lock;
-  lock.lock_shared();
-  EXPECT_TRUE(lock.try_lock_shared());  // second reader coexists
-  lock.unlock_shared();
-  std::atomic<int> writer_got{-1};
-  std::thread([&] { writer_got = lock.try_lock() ? 1 : 0; }).join();
-  EXPECT_EQ(writer_got.load(), 0);  // reader blocks writer
-  lock.unlock_shared();
-  EXPECT_TRUE(lock.is_free());
-}
-
-TEST(RwLock, WriterExcludesReaders) {
-  RwLock<> lock;
-  lock.lock();
-  std::atomic<int> reader_got{-1};
-  std::thread([&] { reader_got = lock.try_lock_shared() ? 1 : 0; }).join();
-  EXPECT_EQ(reader_got.load(), 0);
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock_shared());
-  lock.unlock_shared();
-}
-
-TEST(RwLock, WriterPreferenceDrainsReaders) {
-  RwLock<> lock;
-  std::atomic<bool> stop{false};
-  std::atomic<bool> writer_done{false};
-  std::vector<std::thread> readers;
-  for (int i = 0; i < 3; ++i) {
-    readers.emplace_back([&] {
-      while (!stop.load()) {
-        lock.lock_shared();
-        lock.unlock_shared();
-      }
-    });
-  }
-  std::thread writer([&] {
-    lock.lock();  // must not starve despite churning readers
-    writer_done.store(true);
-    lock.unlock();
-  });
-  writer.join();
-  EXPECT_TRUE(writer_done.load());
-  stop.store(true);
-  for (auto& t : readers) t.join();
-}
-
-TEST(RwLock, SharedWriteInvariant) {
-  // Writers mutate, readers verify consistency of a two-word invariant that
-  // only holds when no writer is mid-update.
-  RwLock<> lock;
-  std::int64_t a = 0, b = 0;  // invariant: a == -b outside writer sections
-  std::atomic<std::uint64_t> violations{0};
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 2; ++i) {
-    threads.emplace_back([&] {  // readers
-      while (!stop.load()) {
-        SharedGuard<RwLock<>> guard(lock);
-        if (a != -b) violations.fetch_add(1);
-      }
-    });
-  }
-  for (int i = 0; i < 2; ++i) {
-    threads.emplace_back([&, i] {  // writers
-      ScopedCoreType scoped(i == 0 ? CoreType::kBig : CoreType::kLittle);
-      for (int n = 0; n < 4000; ++n) {
-        lock.lock();
-        a += 1;
-        b -= 1;
-        lock.unlock();
-      }
-    });
-  }
-  // Writers finish; then stop the readers.
-  threads[2].join();
-  threads[3].join();
-  stop.store(true);
-  threads[0].join();
-  threads[1].join();
-  EXPECT_EQ(violations.load(), 0u);
-  EXPECT_EQ(a, 8000);
-  EXPECT_EQ(b, -8000);
-}
-
-TEST(RwLock, ReaderCountVisible) {
-  RwLock<> lock;
-  EXPECT_EQ(lock.reader_count(), 0u);
-  lock.lock_shared();
-  EXPECT_EQ(lock.reader_count(), 1u);
-  lock.lock_shared();
-  EXPECT_EQ(lock.reader_count(), 2u);
-  lock.unlock_shared();
-  lock.unlock_shared();
-  EXPECT_EQ(lock.reader_count(), 0u);
-}
 
 // -------------------------------------------------------------- LsmKv range
 
@@ -169,91 +64,6 @@ TEST(LsmKvRange, EmptyRange) {
   kv.put(100, "x");
   EXPECT_TRUE(kv.range(0, 50).empty());
   EXPECT_EQ(kv.range(100, 100).size(), 1u);
-}
-
-// ------------------------------------------------------ MiniSql update/delete
-
-TEST(MiniSqlUpdate, UpdateChangesRow) {
-  db::MiniSql db;
-  db.create_table("t");
-  db.insert("t", {1, 10, "old"});
-  EXPECT_TRUE(db.update("t", 1, 99, "new"));
-  auto row = db.select_point("t", 1);
-  ASSERT_TRUE(row.has_value());
-  EXPECT_EQ(row->score, 99);
-  EXPECT_EQ(row->payload, "new");
-}
-
-TEST(MiniSqlUpdate, DeleteTombstones) {
-  db::MiniSql db;
-  db.create_table("t");
-  for (std::int64_t i = 0; i < 10; ++i) db.insert("t", {i, 0, "x"});
-  EXPECT_TRUE(db.erase("t", 4));
-  EXPECT_FALSE(db.select_point("t", 4).has_value());
-  EXPECT_EQ(db.table_rows("t"), 9u);
-  EXPECT_EQ(db.full_scan("t").size(), 9u);
-  auto range = db.select_range("t", 0, 9, 0);
-  EXPECT_EQ(range.size(), 9u);
-}
-
-TEST(MiniSqlUpdate, DeletedIdCanBeReinserted) {
-  db::MiniSql db;
-  db.create_table("t");
-  db.insert("t", {1, 1, "first"});
-  db.erase("t", 1);
-  db.insert("t", {1, 2, "second"});
-  auto row = db.select_point("t", 1);
-  ASSERT_TRUE(row.has_value());
-  EXPECT_EQ(row->payload, "second");
-  EXPECT_EQ(db.table_rows("t"), 1u);
-}
-
-TEST(MiniSqlUpdate, UpdateInsideTxnIsAtomic) {
-  db::MiniSql db;
-  db.create_table("t");
-  db.insert("t", {1, 10, "a"});
-  db.insert("t", {2, 20, "b"});
-  {
-    db::MiniSql::Txn txn = db.begin();
-    ASSERT_TRUE(txn.update("t", 1, 11, "a2"));
-    ASSERT_TRUE(txn.erase("t", 2));
-    // Before commit, reads (other txns) see old state.
-    EXPECT_EQ(db.select_point("t", 1)->score, 10);
-    EXPECT_TRUE(db.select_point("t", 2).has_value());
-    ASSERT_TRUE(txn.commit());
-  }
-  EXPECT_EQ(db.select_point("t", 1)->score, 11);
-  EXPECT_FALSE(db.select_point("t", 2).has_value());
-}
-
-TEST(MiniSqlUpdate, RollbackDiscardsUpdatesAndDeletes) {
-  db::MiniSql db;
-  db.create_table("t");
-  db.insert("t", {1, 10, "keep"});
-  {
-    db::MiniSql::Txn txn = db.begin();
-    txn.update("t", 1, 99, "no");
-    txn.erase("t", 1);
-    txn.rollback();
-  }
-  auto row = db.select_point("t", 1);
-  ASSERT_TRUE(row.has_value());
-  EXPECT_EQ(row->score, 10);
-  EXPECT_EQ(row->payload, "keep");
-}
-
-TEST(MiniSqlUpdate, SecondWriterStillBusy) {
-  db::MiniSql db;
-  db.create_table("t");
-  db.insert("t", {1, 0, "x"});
-  db::MiniSql::Txn w1 = db.begin();
-  ASSERT_TRUE(w1.update("t", 1, 5, "w1"));
-  db::MiniSql::Txn w2 = db.begin();
-  EXPECT_FALSE(w2.update("t", 1, 6, "w2"));  // SQLITE_BUSY
-  EXPECT_FALSE(w2.erase("t", 1));
-  w2.rollback();
-  EXPECT_TRUE(w1.commit());
-  EXPECT_EQ(db.select_point("t", 1)->payload, "w1");
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
-// Extension-feature tests: condition variables over LibASL mutexes (litl
-// technique, Section 3.3) and the cohort-lock substrate (Section 3.4's
-// NUMA-aware composition).
+// CondVar over LibASL mutexes (litl technique, Section 3.3): wake-up,
+// release-and-reacquire of the mutex, timed wait, a producer/consumer
+// hand-off between a big and a little core, and broadcast. These cases are
+// the only exercise of CondVar's wait/signal protocol, so CI runs them
+// under ThreadSanitizer too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,9 +12,7 @@
 
 #include "asl/condvar.h"
 #include "asl/libasl.h"
-#include "locks/cohort.h"
 #include "platform/time.h"
-#include "reorder/reorderable.h"
 
 namespace asl {
 namespace {
@@ -151,119 +151,6 @@ TEST(CondVar, BroadcastWakesAllWaiters) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(woke.load(), kWaiters);
-}
-
-// -------------------------------------------------------------- CohortLock
-
-TEST(CohortLock, SatisfiesLockable) {
-  static_assert(Lockable<CohortLock<2>>);
-  CohortLock<2> lock;
-  EXPECT_TRUE(lock.is_free());
-  lock.lock();
-  EXPECT_FALSE(lock.is_free());
-  lock.unlock();
-  EXPECT_TRUE(lock.is_free());
-}
-
-TEST(CohortLock, TryLockSemantics) {
-  CohortLock<2> lock;
-  EXPECT_TRUE(lock.try_lock());
-  std::atomic<int> other{-1};
-  std::thread([&] { other = lock.try_lock() ? 1 : 0; }).join();
-  EXPECT_EQ(other.load(), 0);
-  lock.unlock();
-  EXPECT_TRUE(lock.is_free());
-}
-
-TEST(CohortLock, MutualExclusionAcrossNodes) {
-  CohortLock<2> lock;
-  std::uint64_t counter = 0;
-  constexpr int kThreads = 4;
-  constexpr int kIters = 8000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      CohortLock<2>::set_this_thread_node(static_cast<std::uint32_t>(t % 2));
-      for (int i = 0; i < kIters; ++i) {
-        lock.lock();
-        counter = counter + 1;
-        lock.unlock();
-      }
-      CohortLock<2>::clear_this_thread_node();
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kIters);
-}
-
-TEST(CohortLock, BatchBudgetEventuallyRotatesNodes) {
-  // Two threads on node 0 churn the lock; a thread on node 1 must still get
-  // it (the batch budget bounds in-node passing).
-  CohortLock<2, /*kBatch=*/8> lock;
-  std::atomic<bool> stop{false};
-  std::atomic<bool> node1_got_lock{false};
-  std::vector<std::thread> churners;
-  for (int t = 0; t < 2; ++t) {
-    churners.emplace_back([&] {
-      CohortLock<2, 8>::set_this_thread_node(0);
-      while (!stop.load()) {
-        lock.lock();
-        lock.unlock();
-      }
-      CohortLock<2, 8>::clear_this_thread_node();
-    });
-  }
-  std::thread other([&] {
-    CohortLock<2, 8>::set_this_thread_node(1);
-    lock.lock();
-    node1_got_lock.store(true);
-    lock.unlock();
-    CohortLock<2, 8>::clear_this_thread_node();
-  });
-  other.join();
-  stop.store(true);
-  for (auto& t : churners) t.join();
-  EXPECT_TRUE(node1_got_lock.load());
-}
-
-TEST(CohortLock, ComposesUnderReorderableLock) {
-  // Section 3.4: reorderable layer over a NUMA-aware substrate.
-  ReorderableLock<CohortLock<2>> lock;
-  std::uint64_t counter = 0;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 4000; ++i) {
-        if (t % 2 == 0) {
-          lock.lock_immediately();
-        } else {
-          lock.lock_reorder(5 * kNanosPerMicro);
-        }
-        counter = counter + 1;
-        lock.unlock();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter, 16000u);
-}
-
-TEST(CohortLock, ComposesUnderAslMutex) {
-  AslMutex<CohortLock<2>> mutex;
-  std::uint64_t counter = 0;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      ScopedCoreType scoped(t < 2 ? CoreType::kBig : CoreType::kLittle);
-      for (int i = 0; i < 4000; ++i) {
-        mutex.lock();
-        counter = counter + 1;
-        mutex.unlock();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter, 16000u);
 }
 
 }  // namespace

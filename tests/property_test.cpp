@@ -15,7 +15,6 @@
 #include "harness/experiment.h"
 #include "locks/any_lock.h"
 #include "locks/clh.h"
-#include "locks/cohort.h"
 #include "locks/mcs.h"
 #include "locks/pthread_lock.h"
 #include "locks/shfl_pb.h"
@@ -40,7 +39,6 @@ AnyLock make_lock(const std::string& name) {
   if (name == "pthread") return AnyLock::make<PthreadLock>();
   if (name == "stp_mcs") return AnyLock::make<StpMcsLock>();
   if (name == "shfl_pb") return AnyLock::make<ShflPbLock>();
-  if (name == "cohort") return AnyLock::make<CohortLock<2>>();
   if (name == "reorder_mcs") return AnyLock::make<ReorderableLock<McsLock>>();
   if (name == "asl_mcs") return AnyLock::make<AslMutex<McsLock>>();
   ADD_FAILURE() << "unknown lock " << name;
@@ -75,7 +73,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllLocks, ExclusionSweep,
     ::testing::Combine(
         ::testing::Values("tas", "tas_backoff", "ticket", "mcs", "clh",
-                          "pthread", "stp_mcs", "shfl_pb", "cohort",
+                          "pthread", "stp_mcs", "shfl_pb",
                           "reorder_mcs", "asl_mcs"),
         ::testing::Values(2, 3, 6)),
     [](const ::testing::TestParamInfo<ExclusionParam>& info) {

@@ -13,6 +13,7 @@
 
 #include "asl/runtime.h"
 #include "db/mvkv.h"
+#include "platform/time.h"
 #include "server/kv_service.h"
 #include "server/replay.h"
 #include "server/request_queue.h"
@@ -179,6 +180,86 @@ TEST(BoundedQueueTest, TryPopIsNonBlockingAndFifo) {
   EXPECT_TRUE(queue.try_pop(out));
   EXPECT_EQ(out, 3);
   EXPECT_FALSE(queue.pop(out));
+}
+
+// The hand-off under real threads. A lost wake-up leaves a popper blocked
+// forever, so either case hangs rather than fails; ctest's --timeout turns
+// that into a failure.
+
+TEST(BoundedQueueTest, CloseWakesEveryBlockedPopper) {
+  BoundedQueue<int> queue(4);
+  constexpr int kPoppers = 4;
+  std::atomic<int> entered{0};
+  std::atomic<int> returned_false{0};
+  std::atomic<int> returned_true{0};
+  std::vector<std::thread> poppers;
+  for (int i = 0; i < kPoppers; ++i) {
+    poppers.emplace_back([&] {
+      entered.fetch_add(1);
+      int out = 0;
+      (queue.pop(out) ? returned_true : returned_false).fetch_add(1);
+    });
+  }
+  while (entered.load() != kPoppers) std::this_thread::yield();
+  // Give the poppers time to park in pop(); one that has not parked yet
+  // still has to see the close.
+  sleep_ns(20 * kNanosPerMilli);
+  EXPECT_EQ(returned_false.load() + returned_true.load(), 0)
+      << "pop() returned from an empty, open queue";
+  queue.close();
+  for (auto& t : poppers) t.join();
+  EXPECT_EQ(returned_false.load(), kPoppers);
+  EXPECT_EQ(returned_true.load(), 0);
+}
+
+TEST(BoundedQueueTest, ConcurrentProducersAndPoppersDeliverEachValueOnce) {
+  // A small ring keeps producers hitting kFull, so pops free slots while
+  // pushes race for them.
+  BoundedQueue<int> queue(8);
+  constexpr int kProducers = 3;
+  constexpr int kPoppers = 3;
+  constexpr int kPerProducer = 5000;
+  std::atomic<int> shed{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const int value = p * kPerProducer + i;
+        for (;;) {
+          const PushResult r = queue.try_push_below(value, queue.capacity());
+          if (r == PushResult::kOk) break;
+          if (r == PushResult::kShed) shed.fetch_add(1);
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  std::vector<std::vector<int>> popped(kPoppers);
+  std::vector<std::thread> poppers;
+  for (int c = 0; c < kPoppers; ++c) {
+    poppers.emplace_back([&queue, &mine = popped[c]] {
+      int out = 0;
+      while (queue.pop(out)) mine.push_back(out);
+    });
+  }
+  for (auto& t : producers) t.join();
+  queue.close();
+  for (auto& t : poppers) t.join();
+
+  EXPECT_EQ(shed.load(), 0) << "a limit at capacity never sheds";
+  EXPECT_EQ(queue.size(), 0u) << "close() must let the poppers drain";
+  std::vector<int> seen(kProducers * kPerProducer, 0);
+  for (const auto& mine : popped) {
+    for (const int v : mine) {
+      ASSERT_GE(v, 0);
+      ASSERT_LT(v, kProducers * kPerProducer);
+      seen[static_cast<std::size_t>(v)] += 1;
+    }
+  }
+  for (std::size_t v = 0; v < seen.size(); ++v) {
+    ASSERT_EQ(seen[v], 1) << "value " << v << " popped " << seen[v]
+                          << " times";
+  }
 }
 
 // ------------------------------------------------- class-aware admission
