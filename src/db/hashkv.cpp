@@ -1,5 +1,7 @@
 #include "db/hashkv.h"
 
+#include <algorithm>
+
 #include "platform/spin.h"
 
 namespace asl::db {
@@ -17,11 +19,9 @@ std::uint64_t HashKv::hash_key(std::string_view key) {
   return h;
 }
 
-HashKv::Slot& HashKv::slot_for(std::string_view key) {
-  return slots_[hash_key(key) % slots_.size()];
-}
-const HashKv::Slot& HashKv::slot_for(std::string_view key) const {
-  return slots_[hash_key(key) % slots_.size()];
+HashKv::Home HashKv::home_of(std::string_view key) const {
+  const std::uint64_t h = hash_key(key);
+  return Home{h % slots_.size(), (h / slots_.size()) % kBucketsPerSlot};
 }
 
 void HashKv::method_enter_shared() const {
@@ -36,12 +36,14 @@ void HashKv::method_exit_shared() const {
 
 bool HashKv::put(std::string_view key, std::string_view value) {
   method_enter_shared();
-  Slot& slot = slot_for(key);
+  const Home home = home_of(key);
+  Slot& slot = slots_[home.slot];
   bool inserted = false;
   {
     LockGuard<AslMutex<McsLock>> guard(slot.lock);
+    Chain& chain = slot.buckets[home.bucket];
     bool found = false;
-    for (Entry& e : slot.chain) {
+    for (Entry& e : chain) {
       if (e.key == key) {
         // assign() reuses the entry's capacity: an overwrite of a key whose
         // value is not growing never allocates (the steady-state contract).
@@ -51,7 +53,7 @@ bool HashKv::put(std::string_view key, std::string_view value) {
       }
     }
     if (!found) {
-      slot.chain.push_back(Entry{std::string(key), std::string(value)});
+      chain.push_back(Entry{std::string(key), std::string(value)});
       inserted = true;
     }
   }
@@ -65,11 +67,12 @@ bool HashKv::put(std::string_view key, std::string_view value) {
 
 std::optional<std::string> HashKv::get(std::string_view key) const {
   method_enter_shared();
-  const Slot& slot = slot_for(key);
+  const Home home = home_of(key);
+  const Slot& slot = slots_[home.slot];
   std::optional<std::string> result;
   {
     LockGuard<AslMutex<McsLock>> guard(slot.lock);
-    for (const Entry& e : slot.chain) {
+    for (const Entry& e : slot.buckets[home.bucket]) {
       if (e.key == key) {
         result = e.value;
         break;
@@ -82,14 +85,16 @@ std::optional<std::string> HashKv::get(std::string_view key) const {
 
 bool HashKv::remove(std::string_view key) {
   method_enter_shared();
-  Slot& slot = slot_for(key);
+  const Home home = home_of(key);
+  Slot& slot = slots_[home.slot];
   bool removed = false;
   {
     LockGuard<AslMutex<McsLock>> guard(slot.lock);
-    for (std::size_t i = 0; i < slot.chain.size(); ++i) {
-      if (slot.chain[i].key == key) {
-        slot.chain[i] = std::move(slot.chain.back());
-        slot.chain.pop_back();
+    Chain& chain = slot.buckets[home.bucket];
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      if (chain[i].key == key) {
+        chain[i] = std::move(chain.back());
+        chain.pop_back();
         removed = true;
         break;
       }
@@ -123,11 +128,24 @@ void HashKv::for_each(
   }
   for (const Slot& slot : slots_) {
     LockGuard<AslMutex<McsLock>> guard(slot.lock);
-    for (const Entry& e : slot.chain) {
-      fn(e.key, e.value);
+    for (const Chain& chain : slot.buckets) {
+      for (const Entry& e : chain) {
+        fn(e.key, e.value);
+      }
     }
   }
   method_lock_.unlock();
+}
+
+std::size_t HashKv::longest_chain() const {
+  std::size_t longest = 0;
+  for (const Slot& slot : slots_) {
+    LockGuard<AslMutex<McsLock>> guard(slot.lock);
+    for (const Chain& chain : slot.buckets) {
+      longest = std::max(longest, chain.size());
+    }
+  }
+  return longest;
 }
 
 }  // namespace asl::db

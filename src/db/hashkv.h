@@ -6,15 +6,21 @@
 // takes: method lock (briefly, shared intent) then its slot lock, matching
 // the paper's "Slot-level Lock, Method Lock" row.
 //
-// Layout: `num_slots` slots, each a lock guarding one linear chain, so a
-// slot holding n keys scans up to n entries under its lock (the service's
-// 16-slot engine keeps 2^15 keys in 2,048-entry chains). Slots are heavy to
-// multiply: each carries an MCS node array of kMaxThreads cache lines.
+// Layout (Kyoto CacheDB's): `num_slots` slots, each a lock guarding a fixed
+// array of kBucketsPerSlot chains. A key's hash h picks slot
+// h % num_slots and, within it, bucket (h / num_slots) % kBucketsPerSlot:
+// the hash's next digit, independent of the slot index (h % 256 would
+// repeat the slot's residue and fill only 1 bucket in 16 on 16 slots). The
+// service's 16-slot engine spreads its 2^15 keys over all 4,096 buckets,
+// 18 entries in the longest chain. Slots are heavy to multiply: each
+// carries an MCS node array of kMaxThreads cache lines, so the buckets, not
+// more slots, shorten the scan under a lock.
 //
 // All locks are AslMutex so an application linked with LibASL gets the
 // SLO-guided ordering with no code changes here.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -51,19 +57,30 @@ class HashKv {
 
   std::size_t num_slots() const { return slots_.size(); }
 
+  // Entries in the longest chain: the most a lookup scans under its slot
+  // lock (an observable of the layout, like MvKv::height()).
+  std::size_t longest_chain() const;
+
  private:
+  static constexpr std::size_t kBucketsPerSlot = 256;
+
   struct Entry {
     std::string key;
     std::string value;
   };
+  using Chain = std::vector<Entry>;
   struct Slot {
     mutable AslMutex<McsLock> lock;
-    std::vector<Entry> chain;
+    std::array<Chain, kBucketsPerSlot> buckets;
+  };
+  // Where a key lives: its slot, and its bucket within that slot.
+  struct Home {
+    std::size_t slot;
+    std::size_t bucket;
   };
 
   static std::uint64_t hash_key(std::string_view key);
-  Slot& slot_for(std::string_view key);
-  const Slot& slot_for(std::string_view key) const;
+  Home home_of(std::string_view key) const;
 
   // Method lock: count of in-flight record ops + exclusive flag, guarded by
   // method_lock_. Record ops take it briefly (shared intent); for_each takes

@@ -215,9 +215,12 @@ MvKv::Snapshot::Node* MvKv::fresh_node(std::uint64_t key,
   // the supply this write should draw on; they only need the epoch to turn
   // over twice. A reader pinned across one try_advance unpins within its
   // (microsecond) read, so the bounded spin resolves the miss without the
-  // heap in all but pathological schedules.
+  // heap in all but pathological schedules. A caller that holds its own pin
+  // (a snapshot taken on this thread) lets the epoch advance at most once,
+  // so after one round only the heap can help.
+  const int rounds = reclaimer_.pinned() ? 1 : kReclaimSpinRounds;
   SpinWait waiter;
-  for (int i = 0; i < kReclaimSpinRounds; ++i) {
+  for (int i = 0; i < rounds; ++i) {
     reclaimer_.try_advance();
     if (reclaimer_.sweep() > 0) {
       if (Node* n = pool_.try_acquire(key, value, left, right)) return n;

@@ -53,26 +53,40 @@ TEST(HashKv, ForEachSeesEverything) {
 }
 
 TEST(HashKv, LargeStoreReadsBackAndIteratesEachKeyOnce) {
-  // 2^15 keys on the service engine's 16 slots: every key reads back from
-  // its 2,048-entry chain, and iteration walks every chain exactly once.
+  // 2^15 keys on the service engine's 16 slots: the buckets keep every
+  // chain short, every key reads back, and iteration walks every chain
+  // exactly once — before and after erasing every other key.
   constexpr std::uint64_t kKeys = 1u << 15;
   HashKv kv(16);
   for (std::uint64_t i = 0; i < kKeys; ++i) {
     ASSERT_TRUE(kv.put(key_of(i), val_of(i)));
   }
-  EXPECT_EQ(kv.size(), kKeys);
-  for (std::uint64_t i = 0; i < kKeys; ++i) {
-    ASSERT_EQ(kv.get(key_of(i)).value_or(""), val_of(i)) << i;
+  // 8 keys per bucket on average. A bucket index correlated with the slot
+  // (h % 256) fills 1 bucket in 16 and gives 140; FNV-1a's top byte, 41.
+  EXPECT_LE(kv.longest_chain(), 32u);
+  const auto check = [&kv](std::uint64_t stride, std::uint64_t first) {
+    const std::uint64_t live = (kKeys - first + stride - 1) / stride;
+    EXPECT_EQ(kv.size(), live);
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      const bool present = i >= first && (i - first) % stride == 0;
+      ASSERT_EQ(kv.get(key_of(i)).value_or("-"), present ? val_of(i) : "-")
+          << i;
+    }
+    std::set<std::string> seen;
+    std::uint64_t visits = 0;
+    kv.for_each([&](const std::string& k, const std::string& v) {
+      ++visits;
+      seen.insert(k);
+      EXPECT_EQ(v, "val" + k.substr(3));
+    });
+    EXPECT_EQ(visits, live);
+    EXPECT_EQ(seen.size(), live) << "each key visited exactly once";
+  };
+  check(1, 0);
+  for (std::uint64_t i = 0; i < kKeys; i += 2) {
+    ASSERT_TRUE(kv.remove(key_of(i))) << i;
   }
-  std::set<std::string> seen;
-  std::uint64_t visits = 0;
-  kv.for_each([&](const std::string& k, const std::string& v) {
-    ++visits;
-    seen.insert(k);
-    EXPECT_EQ(v, "val" + k.substr(3));
-  });
-  EXPECT_EQ(visits, kKeys);
-  EXPECT_EQ(seen.size(), kKeys) << "each key visited exactly once";
+  check(2, 1);
 }
 
 TEST(HashKv, ConcurrentMixedOps) {
