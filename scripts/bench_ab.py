@@ -4,15 +4,17 @@
 Usage (from anywhere inside the repository):
 
     python3 scripts/bench_ab.py --base HEAD~1 --pairs 10 \\
-        --workloads hash_contended --seconds 30 --out BENCH_20.json
+        --workloads hash_contended --out BENCH_20.json
     python3 scripts/bench_ab.py --selftest
 
-Extracts the committed files of --base (and of --head, when given; by
-default the change is this checkout as it stands) with `git archive` into
-.bench_build/ab/<sha>/, a plain snapshot that registers nothing in .git.
-Each side then builds itself there through its own perfbench/run.py. For
-every pair, and for every workload within the pair, it runs
-`perfbench/run.py --trace 0` once per side, flipping which side runs first
+Extracts the committed files of --base and of --head with `git archive`
+into .bench_build/ab/<sha>/, a plain snapshot that registers nothing in
+.git. --head defaults to `git stash create` (the tracked files as they
+stand, staged new files included), or HEAD when nothing is modified, so
+later edits cannot leak into a running campaign. Each side then builds
+itself there through its own perfbench/run.py. For every pair, and for
+every workload within the pair, it runs `perfbench/run.py --trace 0` for
+BENCHMARK.json's run_seconds once per side, flipping which side runs first
 from one pair to the next, and reads each run's last-line JSON and its
 `host` line (nproc, CPU model, steal share).
 
@@ -25,6 +27,10 @@ verdict against the metric's bound:
   better        the change won at least 9 in 10 pairs and its median beats
                 the parent's by more than the parent's interquartile range,
                 or every change run beats every parent run;
+  not claimable what would be "better", but the workload has fewer than
+                10 pairs, a run without a result (a crash or a timeout),
+                a run that failed its output checks, or a larger failed
+                share at the change than at the parent;
   unresolved    otherwise, when either side's spread (IQR / median)
                 exceeds the bound;
   worse         otherwise, when the median moved the wrong way by more
@@ -50,6 +56,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 AB_DIR = ROOT / ".bench_build" / "ab"
 WIN_SHARE = 0.9  # pairs the change must win for a "better" verdict
+MIN_PAIRS = 10   # fewer pairs cannot resolve a 9-in-10 win share
 HOST_LINE = re.compile(
     r'^host nproc=(\d+) cpu_model="([^"]*)" steal_ticks=\d+ steal_pct=([\d.]+)')
 
@@ -70,11 +77,12 @@ def summarize(values):
             "spread": spread, "n": len(values)}
 
 
-def verdict(parent, change, better, bound):
+def verdict(parent, change, better, bound, refusals=()):
     """Compares paired runs of one metric (lists in pair order).
 
     `better` is "lower" or "higher"; `bound` the relative bound of
-    BENCHMARK.json. Returns the summaries, the pairs won and the verdict.
+    BENCHMARK.json; `refusals` the workload's reasons a gain cannot be
+    claimed. Returns the summaries, the pairs won and the verdict.
     """
     sign = 1.0 if better == "lower" else -1.0
     p, c = summarize(parent), summarize(change)
@@ -85,7 +93,7 @@ def verdict(parent, change, better, bound):
     dominates = all(sign * (b - a) < 0 for a in parent for b in change)
     if dominates or (pairs and wins >= WIN_SHARE * pairs and
                      gain > p["iqr"]):
-        word = "better"
+        word = "not claimable" if refusals else "better"
     elif max(p["spread"], c["spread"]) > bound:
         word = "unresolved"
     elif worse_by > bound:
@@ -99,11 +107,16 @@ def verdict(parent, change, better, bound):
 
 
 def analyze(runs, spec):
-    """Per workload: failed share per side, then a verdict per metric."""
+    """Per workload: failed share per side, then a verdict per metric.
+
+    A run without metrics (no result line) pairs with nothing and counts
+    in its side's crashed_runs.
+    """
     out = {}
     for w in sorted({r["workload"] for r in runs}):
-        sides = {side: {r["pair"]: r for r in runs
-                        if r["workload"] == w and r["side"] == side}
+        mine = [r for r in runs if r["workload"] == w]
+        sides = {side: {r["pair"]: r for r in mine
+                        if r["side"] == side and r["metrics"]}
                  for side in ("parent", "change")}
         paired = sorted(set(sides["parent"]) & set(sides["change"]))
         entry = {"pairs": len(paired), "failed_share": {}, "metrics": {}}
@@ -114,14 +127,27 @@ def analyze(runs, spec):
             entry["failed_share"][side] = {
                 "failed": failed, "attempted": attempted,
                 "share": failed / attempted if attempted else 0.0,
-                "incorrect_runs": sum(1 for r in rs if not r["correct"])}
+                "incorrect_runs": sum(1 for r in rs if not r["correct"]),
+                "crashed_runs": sum(1 for r in mine if r["side"] == side
+                                    and not r["metrics"])}
+        fs = entry["failed_share"]
+        refusals = []
+        if len(paired) < MIN_PAIRS:
+            refusals.append(f"{len(paired)} pairs, fewer than {MIN_PAIRS}")
+        if any(fs[s]["crashed_runs"] for s in fs):
+            refusals.append("a run without a result")
+        if any(fs[s]["incorrect_runs"] for s in fs):
+            refusals.append("a run that failed its output checks")
+        if fs["change"]["share"] > fs["parent"]["share"]:
+            refusals.append("a larger failed share at the change")
+        entry["refusals"] = refusals
         for m in spec["end_to_end"]:
             a = [sides["parent"][i]["metrics"].get(m["name"]) for i in paired]
             b = [sides["change"][i]["metrics"].get(m["name"]) for i in paired]
             if not paired or None in a or None in b:
                 continue
             entry["metrics"][m["name"]] = verdict(a, b, m["better"],
-                                                  m["bound"])
+                                                  m["bound"], refusals)
         out[w] = entry
     return out
 
@@ -194,21 +220,19 @@ def campaign(args):
     for w in workloads:
         if w not in known:
             fail(f"unknown workload {w!r} (BENCHMARK.json has {known})")
+    seconds = spec["run_seconds"]
     base_sha, base_root = extract(args.base)
-    if args.head:
-        head_sha, head_root = extract(args.head)
-    else:
-        head_sha, head_root = git("rev-parse", "HEAD") + "+checkout", ROOT
+    head_sha, head_root = extract(args.head or git("stash", "create")
+                                  or "HEAD")
     roots = {"parent": base_root, "change": head_root}
-    doc = {"base": base_sha, "head": head_sha, "seconds": args.seconds,
+    doc = {"base": base_sha, "head": head_sha, "seconds": seconds,
            "seed": args.seed, "pairs_requested": args.pairs,
            "workloads": workloads, "complete": False, "runs": []}
     out = pathlib.Path(args.out)
 
     def save():
         doc["host"] = host_fingerprint(doc["runs"])
-        doc["summary"] = analyze(
-            [r for r in doc["runs"] if r["metrics"]], spec)
+        doc["summary"] = analyze(doc["runs"], spec)
         out.write_text(json.dumps(doc, indent=1) + "\n")
 
     for pair in range(args.pairs):
@@ -216,7 +240,7 @@ def campaign(args):
                                                             "parent")
         for w in workloads:
             for side in order:
-                rec = run_once(roots[side], w, args.seconds, args.seed)
+                rec = run_once(roots[side], w, seconds, args.seed)
                 rec.update(side=side, pair=pair, first=order[0] == side)
                 doc["runs"].append(rec)
                 print(f"pair {pair} {w} {side}: exit {rec['exit']} steal "
@@ -226,6 +250,8 @@ def campaign(args):
     doc["complete"] = True
     save()
     for w, entry in doc["summary"].items():
+        if entry["refusals"]:
+            print(f"{w}: no gain claimable: {'; '.join(entry['refusals'])}")
         for name, v in entry["metrics"].items():
             print(f"{w} {name}: {v['parent']['median']:.4g} -> "
                   f"{v['change']['median']:.4g} ({v['wins']}/{v['pairs']} "
@@ -250,14 +276,23 @@ def selftest():
               "setup_s": [1.0] * 10,
               "rss_mb": [5.6] * 10,
               "put_p50_us": [10] * 10}
-    runs = []
-    for side, series in (("parent", parent), ("change", change)):
-        for i in range(10):
-            runs.append({"workload": "w", "side": side, "pair": i,
-                         "correct": True, "attempted": 1000,
-                         "failed": 1 if side == "change" and i == 0 else 0,
-                         "metrics": {k: v[i] for k, v in series.items()}})
-    got = analyze(runs, spec)["w"]
+
+    def synth(failed_change=0, pairs=10, crashed=()):
+        """Runs of both series; `crashed` pairs' change runs lack metrics."""
+        runs = []
+        for side, series in (("parent", parent), ("change", change)):
+            for i in range(pairs):
+                lost = side == "change" and i in crashed
+                runs.append({
+                    "workload": "w", "side": side, "pair": i,
+                    "correct": not lost, "attempted": None if lost else 1000,
+                    "failed": failed_change if side == "change" and i == 0
+                    else 0,
+                    "metrics": {} if lost else
+                    {k: v[i] for k, v in series.items()}})
+        return analyze(runs, spec)["w"]
+
+    got = synth()
     checks = []
 
     def expect(cond, what):
@@ -270,7 +305,8 @@ def selftest():
            "IQR is q3 - q1 of statistics.quantiles(n=4)")
     expect(abs(s["parent"]["q1"] - 81.75) < 1e-12, "q1 of 80..89 (exclusive)")
     expect(s["wins"] == 9 and s["pairs"] == 10, "9 of 10 pairs won")
-    expect(s["verdict"] == "better", "a 9/10, 2x gain is better")
+    expect(s["verdict"] == "better" and got["refusals"] == [],
+           "a 9/10, 2x gain with no failures is better")
     g = got["metrics"]["get_p50_us"]
     expect(g["wins"] == 0, "a lower-is-better loss in every pair wins none")
     expect(g["verdict"] == "within bound", "+4.5% p50 is within 0.25")
@@ -286,9 +322,28 @@ def selftest():
     r = got["metrics"]["rss_mb"]
     expect(abs(r["relative_change"] - 0.12) < 1e-12, "+12% rss")
     expect(r["verdict"] == "worse", "+12% rss is worse against 0.1")
-    fs = got["failed_share"]
+
+    more = synth(failed_change=1)
+    fs = more["failed_share"]
     expect(fs["change"]["failed"] == 1 and fs["change"]["attempted"] == 10000
            and fs["parent"]["share"] == 0.0, "failed share sums every run")
+    expect(more["metrics"]["sat_rps"]["verdict"] == "not claimable" and
+           more["metrics"]["put_p50_us"]["verdict"] == "not claimable",
+           "no gain is claimable when the change fails a larger share")
+    expect(more["metrics"]["rss_mb"]["verdict"] == "worse" and
+           more["metrics"]["get_p50_us"]["verdict"] == "within bound",
+           "a refusal touches only the would-be gains")
+    few = synth(pairs=3)
+    expect(few["pairs"] == 3 and
+           few["metrics"]["sat_rps"]["verdict"] == "not claimable",
+           "3 pairs cannot claim a gain, even one every run shows")
+    lost = synth(crashed=(9,))
+    expect(lost["pairs"] == 9 and
+           lost["failed_share"]["change"]["crashed_runs"] == 1 and
+           lost["failed_share"]["parent"]["crashed_runs"] == 0,
+           "a run without a result pairs with nothing and is counted")
+    expect(lost["metrics"]["sat_rps"]["verdict"] == "not claimable",
+           "a run without a result refuses the claim")
     hl = HOST_LINE.match('host nproc=4 cpu_model="Intel(R) Xeon(R) '
                          'Processor" steal_ticks=12 steal_pct=0.37 seed=1')
     expect(hl is not None and hl.group(3) == "0.37",
@@ -304,10 +359,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--selftest", action="store_true")
     ap.add_argument("--base", help="parent revision (git rev)")
-    ap.add_argument("--head", help="change revision (default: this checkout)")
+    ap.add_argument("--head", help="change revision (default: `git stash "
+                    "create`, or HEAD when nothing is modified)")
     ap.add_argument("--workloads", help="comma-separated (default: all)")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", help="BENCH_<n>.json to write")
     args = ap.parse_args()

@@ -14,26 +14,20 @@
 // tries the substrate once (an uncontended acquisition reads no clock);
 // while the lock is held it polls is_free(), then try_lock(), with
 // cpu_relax() between polls, and parks in the substrate's lock() once
-// kBigCoreSpin has passed or the holder runs on the caller's own CPU. Every
-// acquisition, through either path or try_lock, records the holder's CPU.
-// Without the spin a big caller parks at once, and when the little
-// callers' windows have collapsed (every SLO violated, DESIGN.md §7) the
-// barging substrate hands them most acquisitions while the parked big
-// caller waits out its futex wake: the paper's order, big cores first and
-// little cores on standby, inverts.
+// kBigCoreSpin has passed. Without the spin a big caller parks at once, and
+// when the little callers' windows have collapsed (every SLO violated,
+// DESIGN.md §7) the barging substrate hands them most acquisitions while
+// the parked big caller waits out its futex wake: the paper's order, big
+// cores first and little cores on standby, inverts.
 //
-// The holder-CPU rule is what keeps Bench-6's premise. A waiter that shares
-// a CPU with the holder can only delay it, so such a waiter parks at once,
-// as before. A waiter on another CPU spins on a CPU the holder does not
-// need. With 2 threads per core the spin stays off between the two: on a
-// 4-CPU host the kv_* scenarios pin shard s's big worker and its little
-// worker s+4 to CPU s.
+// Bench-6's premise still holds: standby competitors sleep, and the one
+// spin is bounded. With 2 threads per core a big caller whose holder shares
+// its CPU cannot see the release while it spins, so it burns the bound and
+// then parks as before; DESIGN.md §4 measures that cost.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
-#include "platform/affinity.h"
 #include "platform/spin.h"
 #include "platform/time.h"
 #include "locks/lock_concepts.h"
@@ -58,53 +52,39 @@ class BlockingReorderableLock {
   BlockingReorderableLock& operator=(const BlockingReorderableLock&) = delete;
 
   void lock_immediately() {
-    if (lock_.try_lock()) {
-      mark_holder();
-      return;
-    }
-    const int cpu = current_cpu();
-    if (holder_cpu_.load(std::memory_order_relaxed) != cpu) {
-      const Nanos deadline = now_ns() + kBigCoreSpin;
-      do {
-        cpu_relax();
-        if (lock_.is_free() && lock_.try_lock()) {
-          mark_holder();
-          return;
-        }
-      } while (holder_cpu_.load(std::memory_order_relaxed) != cpu &&
-               now_ns() < deadline);
-    }
+    if (lock_.try_lock()) return;
+    const Nanos deadline = now_ns() + kBigCoreSpin;
+    do {
+      cpu_relax();
+      if (lock_.is_free() && lock_.try_lock()) return;
+    } while (now_ns() < deadline);
     lock_.lock();
-    mark_holder();
   }
 
   void lock_reorder(Nanos window) {
     if (window > kMaxReorderWindow) window = kMaxReorderWindow;
-    if (!lock_.is_free()) {
-      const Nanos window_end = now_ns() + window;
-      Nanos sleep = kMinSleep;
-      while (now_ns() < window_end) {
-        if (lock_.is_free()) break;
-        // Back-off sleep, capped both absolutely and by the window remainder
-        // so expiry is detected promptly.
-        const Nanos now = now_ns();
-        if (now >= window_end) break;
-        Nanos this_sleep = sleep;
-        if (now + this_sleep > window_end) this_sleep = window_end - now;
-        sleep_ns(this_sleep);
-        if (sleep < kMaxSleep) sleep <<= 1;
-      }
+    if (lock_.is_free()) {
+      lock_.lock();
+      return;
+    }
+    const Nanos window_end = now_ns() + window;
+    Nanos sleep = kMinSleep;
+    while (now_ns() < window_end) {
+      if (lock_.is_free()) break;
+      // Back-off sleep, capped both absolutely and by the window remainder
+      // so expiry is detected promptly.
+      const Nanos now = now_ns();
+      if (now >= window_end) break;
+      Nanos this_sleep = sleep;
+      if (now + this_sleep > window_end) this_sleep = window_end - now;
+      sleep_ns(this_sleep);
+      if (sleep < kMaxSleep) sleep <<= 1;
     }
     lock_.lock();
-    mark_holder();
   }
 
   void lock() { lock_immediately(); }
-  bool try_lock() {
-    if (!lock_.try_lock()) return false;
-    mark_holder();
-    return true;
-  }
+  bool try_lock() { return lock_.try_lock(); }
   void unlock() { lock_.unlock(); }
   bool is_free() const { return lock_.is_free(); }
 
@@ -114,14 +94,7 @@ class BlockingReorderableLock {
   static constexpr Nanos kMinSleep = 1 * kNanosPerMicro;
   static constexpr Nanos kMaxSleep = 1 * kNanosPerMilli;
 
-  void mark_holder() {
-    holder_cpu_.store(current_cpu(), std::memory_order_relaxed);
-  }
-
   Blocking lock_;
-  // CPU of the latest acquirer (-1: none yet). A hint, read racily by
-  // spinning big-core callers; a stale value only moves one park.
-  std::atomic<int> holder_cpu_{-1};
 };
 
 }  // namespace asl

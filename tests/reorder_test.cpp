@@ -1,7 +1,6 @@
 // Reorderable lock tests (Algorithm 1): standby semantics, window bounds,
 // reordering behaviour, starvation freedom, blocking variant.
 #include <gtest/gtest.h>
-#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -11,7 +10,6 @@
 
 #include "locks/mcs.h"
 #include "locks/ticket.h"
-#include "platform/affinity.h"
 #include "platform/time.h"
 #include "reorder/blocking_reorderable.h"
 #include "reorder/reorderable.h"
@@ -259,29 +257,11 @@ class ScriptedLock {
 };
 static_assert(Lockable<ScriptedLock>);
 
-// Runs `body` on a thread pinned to one CPU of the process's affinity mask,
-// so the holder-CPU rule sees one CPU throughout (and `taskset` runs pass).
-template <typename Body>
-void on_pinned_thread(Body body) {
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
-  int cpu = 0;
-  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &mask)) ++cpu;
-  ASSERT_LT(cpu, CPU_SETSIZE);
-  bool pinned = false;
-  std::thread([&] {
-    pinned = pin_to_cpu(static_cast<std::uint32_t>(cpu));
-    if (pinned) body();
-  }).join();
-  ASSERT_TRUE(pinned) << "could not pin to CPU " << cpu;
-}
-
 TEST(BlockingReorderableSpin, BigCoreTakesLockFreedWhileSpinning) {
   BlockingReorderableLock<ScriptedLock> lock;
   ScriptedLock& s = lock.substrate();
   s.frees_at = 3;
-  on_pinned_thread([&] { lock.lock_immediately(); });
+  lock.lock_immediately();
   EXPECT_EQ(s.is_free_calls, 3);
   EXPECT_EQ(s.try_lock_calls, 2) << "the first try, then the one that wins";
   EXPECT_EQ(s.lock_calls, 0) << "parked although the lock freed";
@@ -290,31 +270,13 @@ TEST(BlockingReorderableSpin, BigCoreTakesLockFreedWhileSpinning) {
 TEST(BlockingReorderableSpin, BigCoreParksOnceAfterTheBound) {
   BlockingReorderableLock<ScriptedLock> lock;
   ScriptedLock& s = lock.substrate();
-  Nanos t0 = 0;
-  on_pinned_thread([&] {
-    t0 = now_ns();
-    lock.lock_immediately();
-  });
+  const Nanos t0 = now_ns();
+  lock.lock_immediately();
   EXPECT_EQ(s.lock_calls, 1);
   EXPECT_GT(s.is_free_calls, 0);
   EXPECT_GE(s.lock_called_at - t0,
             BlockingReorderableLock<ScriptedLock>::kBigCoreSpin)
       << "parked before the spin bound";
-}
-
-TEST(BlockingReorderableSpin, BigCoreParksAtOnceBesideTheHolder) {
-  BlockingReorderableLock<ScriptedLock> lock;
-  ScriptedLock& s = lock.substrate();
-  s.held = false;
-  on_pinned_thread([&] {
-    // try_lock marks this thread's CPU as the holder's; the substrate stays
-    // held, so the next acquisition from the same CPU must not spin.
-    ASSERT_TRUE(lock.try_lock());
-    lock.lock_immediately();
-  });
-  EXPECT_EQ(s.is_free_calls, 0) << "polled a holder on the caller's own CPU";
-  EXPECT_EQ(s.try_lock_calls, 2);
-  EXPECT_EQ(s.lock_calls, 1);
 }
 
 TEST(Reorderable, SubstrateAccessor) {
