@@ -5,6 +5,8 @@ Usage (from anywhere inside the repository):
 
     python3 scripts/bench_ab.py --base HEAD~1 --pairs 10 \\
         --workloads hash_contended --out BENCH_20.json
+    python3 scripts/bench_ab.py --base HEAD~1 --pairs 3 --trace 1 \\
+        --workloads hash_contended --out BENCH_20_traced.json
     python3 scripts/bench_ab.py --selftest
 
 Extracts the committed files of --base and of --head with `git archive`
@@ -13,10 +15,10 @@ into .bench_build/ab/<sha>/, a plain snapshot that registers nothing in
 stand, staged new files included), or HEAD when nothing is modified, so
 later edits cannot leak into a running campaign. Each side then builds
 itself there through its own perfbench/run.py. For every pair, and for
-every workload within the pair, it runs `perfbench/run.py --trace 0` for
-BENCHMARK.json's run_seconds once per side, flipping which side runs first
-from one pair to the next, and reads each run's last-line JSON and its
-`host` line (nproc, CPU model, steal share).
+every workload within the pair, it runs `perfbench/run.py --trace <0|1>`
+for BENCHMARK.json's run_seconds once per side, flipping which side runs
+first from one pair to the next, and reads each run's last-line JSON and
+its `host` line (nproc, CPU model, steal share).
 
 The output file holds the host fingerprint, every run (with its steal and
 failed/attempted), and per workload and end-to-end metric of BENCHMARK.json:
@@ -36,6 +38,11 @@ verdict against the metric's bound:
   worse         otherwise, when the median moved the wrong way by more
                 than the bound;
   within bound  otherwise.
+
+With --trace 1 the runs are traced and the summary covers BENCHMARK.json's
+per_layer metrics instead: each side's median and quartiles and the pairs
+the change won, with no verdict, since those metrics have no bound. The
+failed-share, crashed-run and failed-check bookkeeping is the same.
 
 The file is rewritten after every run, so an interrupted campaign keeps
 what it measured ("complete": false). Stdlib only. --selftest checks the
@@ -77,17 +84,26 @@ def summarize(values):
             "spread": spread, "n": len(values)}
 
 
-def verdict(parent, change, better, bound, refusals=()):
-    """Compares paired runs of one metric (lists in pair order).
-
-    `better` is "lower" or "higher"; `bound` the relative bound of
-    BENCHMARK.json; `refusals` the workload's reasons a gain cannot be
-    claimed. Returns the summaries, the pairs won and the verdict.
-    """
+def compare(parent, change, better):
+    """Summaries of paired runs of one metric (lists in pair order) and the
+    pairs the change won; `better` is "lower" or "higher"."""
     sign = 1.0 if better == "lower" else -1.0
     p, c = summarize(parent), summarize(change)
-    wins = sum(1 for a, b in zip(parent, change) if sign * (b - a) < 0)
-    pairs = min(len(parent), len(change))
+    return {"parent": p, "change": c,
+            "wins": sum(1 for a, b in zip(parent, change)
+                        if sign * (b - a) < 0),
+            "pairs": min(len(parent), len(change)),
+            "relative_change": (c["median"] - p["median"]) / p["median"]
+            if p["median"] else 0.0}
+
+
+def verdict(parent, change, better, bound, refusals=()):
+    """compare() plus a verdict against `bound`, the relative bound of
+    BENCHMARK.json; `refusals` are the workload's reasons a gain cannot be
+    claimed."""
+    sign = 1.0 if better == "lower" else -1.0
+    out = compare(parent, change, better)
+    p, c, wins, pairs = out["parent"], out["change"], out["wins"], out["pairs"]
     gain = sign * (p["median"] - c["median"])  # > 0: the change is better
     worse_by = -gain / p["median"] if p["median"] else 0.0
     dominates = all(sign * (b - a) < 0 for a in parent for b in change)
@@ -100,14 +116,12 @@ def verdict(parent, change, better, bound, refusals=()):
         word = "worse"
     else:
         word = "within bound"
-    return {"parent": p, "change": c, "wins": wins, "pairs": pairs,
-            "relative_change": (c["median"] - p["median"]) / p["median"]
-            if p["median"] else 0.0,
-            "bound": bound, "verdict": word}
+    return {**out, "bound": bound, "verdict": word}
 
 
-def analyze(runs, spec):
-    """Per workload: failed share per side, then a verdict per metric.
+def analyze(runs, spec, trace=0):
+    """Per workload: failed share per side, then a verdict per end-to-end
+    metric, or with `trace` a comparison per per-layer metric.
 
     A run without metrics (no result line) pairs with nothing and counts
     in its side's crashed_runs.
@@ -141,13 +155,14 @@ def analyze(runs, spec):
         if fs["change"]["share"] > fs["parent"]["share"]:
             refusals.append("a larger failed share at the change")
         entry["refusals"] = refusals
-        for m in spec["end_to_end"]:
+        for m in spec["per_layer" if trace else "end_to_end"]:
             a = [sides["parent"][i]["metrics"].get(m["name"]) for i in paired]
             b = [sides["change"][i]["metrics"].get(m["name"]) for i in paired]
             if not paired or None in a or None in b:
                 continue
-            entry["metrics"][m["name"]] = verdict(a, b, m["better"],
-                                                  m["bound"], refusals)
+            entry["metrics"][m["name"]] = (
+                compare(a, b, m["better"]) if trace else
+                verdict(a, b, m["better"], m["bound"], refusals))
         out[w] = entry
     return out
 
@@ -173,13 +188,13 @@ def extract(rev):
     return sha, dest
 
 
-def run_once(root, workload, seconds, seed):
+def run_once(root, workload, seconds, seed, trace):
     """One perfbench run in checkout `root`; returns its parsed record."""
     env = dict(os.environ)
     env.pop("CARGO_TARGET_DIR", None)  # each side builds in its own tree
     cmd = [sys.executable, str(root / "perfbench" / "run.py"),
            "--workload", workload, "--seconds", str(seconds),
-           "--seed", str(seed), "--trace", "0"]
+           "--seed", str(seed), "--trace", str(trace)]
     t0 = time.time()
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
                           text=True)
@@ -226,13 +241,14 @@ def campaign(args):
                                   or "HEAD")
     roots = {"parent": base_root, "change": head_root}
     doc = {"base": base_sha, "head": head_sha, "seconds": seconds,
-           "seed": args.seed, "pairs_requested": args.pairs,
-           "workloads": workloads, "complete": False, "runs": []}
+           "seed": args.seed, "trace": args.trace,
+           "pairs_requested": args.pairs, "workloads": workloads,
+           "complete": False, "runs": []}
     out = pathlib.Path(args.out)
 
     def save():
         doc["host"] = host_fingerprint(doc["runs"])
-        doc["summary"] = analyze(doc["runs"], spec)
+        doc["summary"] = analyze(doc["runs"], spec, args.trace)
         out.write_text(json.dumps(doc, indent=1) + "\n")
 
     for pair in range(args.pairs):
@@ -240,7 +256,8 @@ def campaign(args):
                                                             "parent")
         for w in workloads:
             for side in order:
-                rec = run_once(roots[side], w, seconds, args.seed)
+                rec = run_once(roots[side], w, seconds, args.seed,
+                               args.trace)
                 rec.update(side=side, pair=pair, first=order[0] == side)
                 doc["runs"].append(rec)
                 print(f"pair {pair} {w} {side}: exit {rec['exit']} steal "
@@ -255,7 +272,7 @@ def campaign(args):
         for name, v in entry["metrics"].items():
             print(f"{w} {name}: {v['parent']['median']:.4g} -> "
                   f"{v['change']['median']:.4g} ({v['wins']}/{v['pairs']} "
-                  f"won) {v['verdict']}")
+                  f"won) {v.get('verdict', '')}")
 
 
 # --------------------------------------------------------------- selftest
@@ -344,6 +361,33 @@ def selftest():
            "a run without a result pairs with nothing and is counted")
     expect(lost["metrics"]["sat_rps"]["verdict"] == "not claimable",
            "a run without a result refuses the claim")
+
+    # --trace 1: per-layer metrics are compared, never given a verdict.
+    layer_spec = {"per_layer": [
+        {"name": "server.queue_wait_p50_us", "better": "lower"},
+        {"name": "asl.window_get_us", "better": "higher"}]}
+    wait = {"parent": [7.7, 8.8, 8.0], "change": [1.0, 0.9, 9.0]}
+    window = {"parent": [10.0, 10.0, 10.0], "change": [12.0, 10.0, 11.0]}
+    traced = [{"workload": "w", "side": side, "pair": i, "correct": True,
+               "attempted": 1000, "failed": 0,
+               "metrics": {} if (side, i) == ("change", 3) else
+               {"server.queue_wait_p50_us": (wait[side] + [0.0])[i],
+                "asl.window_get_us": (window[side] + [0.0])[i],
+                "get_p50_us": 5.0}}
+              for side in ("parent", "change") for i in range(4)]
+    layers = analyze(traced, layer_spec, trace=1)["w"]
+    qw = layers["metrics"]["server.queue_wait_p50_us"]
+    expect(qw["parent"]["median"] == 8.0 and qw["change"]["median"] == 1.0
+           and qw["wins"] == 2 and qw["pairs"] == 3,
+           "per-layer medians and pairs won (lower is better)")
+    expect(layers["metrics"]["asl.window_get_us"]["wins"] == 2,
+           "per-layer pairs won (higher is better, ties win nothing)")
+    expect(all("verdict" not in v for v in layers["metrics"].values()) and
+           "get_p50_us" not in layers["metrics"],
+           "a traced campaign gives per-layer metrics and no verdict")
+    expect(layers["failed_share"]["change"]["crashed_runs"] == 1 and
+           layers["pairs"] == 3,
+           "a traced run without a result is counted, as untraced")
     hl = HOST_LINE.match('host nproc=4 cpu_model="Intel(R) Xeon(R) '
                          'Processor" steal_ticks=12 steal_pct=0.37 seed=1')
     expect(hl is not None and hl.group(3) == "0.37",
@@ -364,6 +408,8 @@ def main():
     ap.add_argument("--workloads", help="comma-separated (default: all)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                    help="1: traced runs, per-layer metrics, no verdict")
     ap.add_argument("--out", help="BENCH_<n>.json to write")
     args = ap.parse_args()
     if args.selftest:

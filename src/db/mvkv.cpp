@@ -231,7 +231,10 @@ MvKv::Snapshot::Node* MvKv::fresh_node(std::uint64_t key,
 }
 
 void MvKv::maybe_replenish() {
-  if (pool_.free_count() >= kFreelistLowWater) return;
+  // A caller that holds its own pin lets the epoch advance at most once, so
+  // the rounds would walk the whole backlog for nothing (fresh_node's one
+  // round covers that case).
+  if (pool_.free_count() >= kFreelistLowWater || reclaimer_.pinned()) return;
   // Two rounds: retirees tagged one epoch back need a single advance to
   // leave their grace period, the freshest need two. A round can stall if a
   // reader is pinned at the pre-advance epoch right now; then the next

@@ -20,6 +20,25 @@ inline std::uint32_t online_cpus() {
   return n > 0 ? static_cast<std::uint32_t>(n) : 1u;
 }
 
+namespace detail {
+inline std::uint32_t affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return online_cpus();
+  const int n = CPU_COUNT(&set);
+  return n > 0 ? static_cast<std::uint32_t>(n) : 1u;
+}
+// A namespace-scope variable: dynamically initialized before main runs.
+inline const std::uint32_t startup_affinity_cpus = affinity_cpus();
+}  // namespace detail
+
+// Number of CPUs in the process's affinity mask (sched_getaffinity) as it
+// was at start-up: the CPUs a taskset or cpuset leaves the process, which
+// sysconf does not see. Read before main runs, so a thread that later pins
+// itself (and the threads it spawns, which inherit its one-CPU mask) does
+// not shrink the answer.
+inline std::uint32_t allowed_cpus() { return detail::startup_affinity_cpus; }
+
 // Pin the calling thread to `cpu`. Returns true on success.
 inline bool pin_to_cpu(std::uint32_t cpu) {
   cpu_set_t set;

@@ -118,7 +118,7 @@ void KvService::stop() {
     for (const WorkerSpec& worker : core_.workers()) {
       if (worker.index != worker.shard) continue;  // one drainer per shard
       ScopedCoreType scoped(worker.type);
-      drain_queue(worker);
+      drain_queue(worker, 0);
     }
   }
   if (sampler_) {
@@ -155,11 +155,13 @@ std::size_t KvService::store_size() const {
 }
 
 void KvService::worker_loop(const WorkerSpec& worker) {
-  if (core_.config().pin_workers) {
-    pin_to_cpu_wrapped(worker.index);
-  }
+  const bool pinned =
+      core_.config().pin_workers && pin_to_cpu_wrapped(worker.index);
   ScopedCoreType scoped(worker.type);
-  drain_queue(worker);
+  drain_queue(worker, pop_spin_budget(
+                          pinned,
+                          static_cast<std::uint32_t>(core_.workers().size()),
+                          allowed_cpus()));
   // No epoch-state reset here: the thread_local destructor folds this
   // worker's completion counts into the registry, which is how post-stop
   // snapshots still account for every served request.
@@ -175,7 +177,7 @@ std::string_view ValueArena::format_value(std::uint64_t key) {
   return std::string_view(slot, static_cast<std::size_t>(len));
 }
 
-void KvService::drain_queue(const WorkerSpec& worker) {
+void KvService::drain_queue(const WorkerSpec& worker, Nanos pop_spin) {
   BoundedQueue<Request>& queue = core_.queue(worker.shard);
   // One arena and one batch per worker, on the drain loop's own stack:
   // naturally private to this thread for the whole run (see ValueArena's
@@ -183,7 +185,7 @@ void KvService::drain_queue(const WorkerSpec& worker) {
   ValueArena arena;
   Batch batch = core_.batch();
   Request head;
-  while (queue.pop(head)) {
+  while (queue.pop(head, pop_spin)) {
     serve_batch(worker, head, batch, arena);
   }
 }

@@ -73,6 +73,24 @@ class ValueArena {
   std::pmr::monotonic_buffer_resource resource_;
 };
 
+// How long an idle worker polls its shard queue before it parks
+// (BoundedQueue::pop), when it owns its CPU. 200 µs covers several mean
+// arrival gaps at the benchmark's fixed rates (20 µs on a single hash
+// queue, ~75 µs per mvcc shard), so a steady stream reaches a spinning
+// worker without a futex wake, and an idle service still parks within
+// 0.2 ms.
+inline constexpr Nanos kPopSpin = 200 * kNanosPerMicro;
+
+// The ownership rule (DESIGN.md §4): a worker spins before it parks only
+// when its pin succeeded and the service has fewer workers than the CPUs in
+// the process's affinity mask. Each worker then owns its CPU and one CPU is
+// left for submitters. Every other worker parks at once (budget 0): a spin
+// on a shared CPU takes its time from the worker or submitter beside it.
+constexpr Nanos pop_spin_budget(bool pinned, std::uint32_t workers,
+                                std::uint32_t allowed_cpus) {
+  return pinned && workers < allowed_cpus ? kPopSpin : 0;
+}
+
 class KvService {
  public:
   explicit KvService(KvServiceConfig config);
@@ -163,8 +181,9 @@ class KvService {
   void worker_loop(const WorkerSpec& worker);
   // Blocking-pop/batch/serve loop shared by worker threads and the inline
   // drain in stop(); returns when the shard queue is closed and empty.
-  // Owns the worker's ValueArena and Batch for its whole run.
-  void drain_queue(const WorkerSpec& worker);
+  // Each pop spins for up to `pop_spin` before it parks. Owns the worker's
+  // ValueArena and Batch for its whole run.
+  void drain_queue(const WorkerSpec& worker, Nanos pop_spin);
   // Serves one batch (DESIGN.md §6): the head's lock acquisition under its
   // class epoch, the kernel's extension and route split, one serve pass
   // that releases the lock after the last critical-section member, then

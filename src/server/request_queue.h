@@ -21,13 +21,38 @@
 // to it. Producers never block; a popper waits on the queue's own mutex
 // until an item or close() arrives, and a push notifies after unlocking, so
 // the woken popper does not collide with the pusher still holding the lock.
-// There is no parked-popper counter to skip the notify when nobody waits:
-// glibc's condition variable already tracks its waiters, so notify_one with
-// none is a few ns and no futex call — a counter would keep the same fact
-// twice. (asl::CondVar is for waiting on LibASL mutexes; this queue's lock
-// is a plain mutex, so it needs no shadow mutex.)
+// (asl::CondVar is for waiting on LibASL mutexes; this queue's lock is a
+// plain mutex, so it needs no shadow mutex.)
+//
+// Spin-then-park. pop(out, spin_ns) with a budget above 0 first polls the
+// depth with cpu_relax() for up to spin_ns and takes the head through
+// try_pop once the depth is non-zero; a popper that loses that race keeps
+// polling until its deadline, and close() ends the spin. Only then does it
+// park on the condition variable, exactly as a budget of 0 does at once. A
+// spinning popper takes an arrival without a futex wake on either side, so
+// the caller grants a budget only to a popper that owns its CPU
+// (KvService::worker_loop); one that shares a CPU would burn its
+// neighbour's time.
+//
+// Skipped notify. A pusher skips notify_one while at least as many poppers
+// spin as items are queued: a spinner will take the item, so waking a
+// parked popper would only make it find an empty queue. No wake-up is
+// lost. A popper is counted in spinners_ only while it polls an empty
+// queue, and it leaves the count *before* it locks the mutex, whether to
+// take an item (try_pop) or to park; a pusher reads spinners_ *after* it
+// unlocks. If the spinner's lock came first in the mutex's order, its
+// decrement would happen before the pusher's read, and the read could not
+// count it. So every spinner a pusher counts locks the mutex after that
+// push and takes an item if one is left, and the pusher skips only when
+// those spinners are at least as many as the items queued. Every ordering
+// the argument needs comes from the mutex: the counter itself needs none.
+//
+// count_ and closed_ are atomics written only under the mutex, so spinners
+// and size() read them without it: polling a shard's depth (a spinner, the
+// telemetry sampler, queue_depth()) never takes the lock pushers need.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -36,6 +61,8 @@
 #include <vector>
 
 #include "platform/cacheline.h"
+#include "platform/spin.h"
+#include "platform/time.h"
 
 namespace asl::server {
 
@@ -72,24 +99,37 @@ class BoundedQueue {
   // plain try_push (kShed is never returned); a limit of 0 sheds everything
   // for that class while the queue stays open to others.
   PushResult try_push_below(T item, std::size_t limit) {
+    std::size_t depth = 0;
     {
       std::lock_guard<std::mutex> guard(mutex_);
-      if (closed_ || count_ >= capacity_) return PushResult::kFull;
-      if (count_ >= limit) return PushResult::kShed;
-      ring_[(head_ + count_) % capacity_] = std::move(item);
-      count_ += 1;
+      depth = count_.load(std::memory_order_relaxed);
+      if (closed_.load(std::memory_order_relaxed) || depth >= capacity_) {
+        return PushResult::kFull;
+      }
+      if (depth >= limit) return PushResult::kShed;
+      ring_[(head_ + depth) % capacity_] = std::move(item);
+      depth += 1;
+      count_.store(depth, std::memory_order_relaxed);
     }
-    not_empty_.notify_one();
+    // After the unlock (header comment: the skipped notify).
+    if (spinners_.load(std::memory_order_relaxed) < depth) {
+      not_empty_.notify_one();
+    }
     return PushResult::kOk;
   }
 
   // Blocks until an item is available (true) or the queue is closed and
   // fully drained (false). Closed-but-nonempty queues keep delivering, so
-  // every accepted request is eventually served.
-  bool pop(T& out) {
+  // every accepted request is eventually served. With spin_ns > 0 the
+  // popper polls for up to spin_ns before it parks (header comment).
+  bool pop(T& out, Nanos spin_ns = 0) {
+    if (spin_ns > 0 && spin_pop(out, spin_ns)) return true;
     std::unique_lock<std::mutex> guard(mutex_);
-    not_empty_.wait(guard, [this] { return count_ != 0 || closed_; });
-    if (count_ == 0) return false;
+    not_empty_.wait(guard, [this] {
+      return count_.load(std::memory_order_relaxed) != 0 ||
+             closed_.load(std::memory_order_relaxed);
+    });
+    if (count_.load(std::memory_order_relaxed) == 0) return false;
     take_head(out);
     return true;
   }
@@ -101,7 +141,7 @@ class BoundedQueue {
   // critical section waiting for arrivals.
   bool try_pop(T& out) {
     std::lock_guard<std::mutex> guard(mutex_);
-    if (count_ == 0) return false;
+    if (count_.load(std::memory_order_relaxed) == 0) return false;
     take_head(out);
     return true;
   }
@@ -111,23 +151,42 @@ class BoundedQueue {
   void close() {
     {
       std::lock_guard<std::mutex> guard(mutex_);
-      closed_ = true;
+      closed_.store(true, std::memory_order_relaxed);
     }
     not_empty_.notify_all();
   }
 
-  // Instantaneous depth; a point-in-time read that concurrent pushes and
-  // pops may move immediately.
-  std::size_t size() const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return count_;
-  }
+  // Instantaneous depth, read without the lock; a point-in-time read that
+  // concurrent pushes and pops may move immediately.
+  std::size_t size() const { return count_.load(std::memory_order_relaxed); }
 
   // The clamped capacity (construction clamps 0 to 1); constant, so
   // callers may derive admission thresholds from it once.
   std::size_t capacity() const { return capacity_; }
 
  private:
+  // The spin of pop(): true with an item taken through try_pop, false when
+  // the budget ran out or the queue closed empty. The popper is counted in
+  // spinners_ only while it polls an empty queue, and it leaves the count
+  // before it locks the mutex (header comment: no lost wake-up).
+  bool spin_pop(T& out, Nanos spin_ns) {
+    const Nanos deadline = now_ns() + spin_ns;
+    for (;;) {
+      if (count_.load(std::memory_order_relaxed) != 0 && try_pop(out)) {
+        return true;
+      }
+      if (closed_.load(std::memory_order_relaxed) || now_ns() >= deadline) {
+        return false;
+      }
+      spinners_.fetch_add(1, std::memory_order_relaxed);
+      while (count_.load(std::memory_order_relaxed) == 0 &&
+             !closed_.load(std::memory_order_relaxed) && now_ns() < deadline) {
+        cpu_relax();
+      }
+      spinners_.fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+
   // Caller holds mutex_ and count_ > 0. Resets the slot: a moved-from
   // element may still own resources (arena handles, strings), and leaving
   // it in the ring keeps them alive until the slot happens to be
@@ -136,23 +195,25 @@ class BoundedQueue {
     out = std::move(ring_[head_]);
     ring_[head_] = T{};
     head_ = (head_ + 1) % capacity_;
-    count_ -= 1;
+    count_.store(count_.load(std::memory_order_relaxed) - 1,
+                 std::memory_order_relaxed);
   }
 
   // Cache-line placement: the immutable fields (capacity_, the ring's
   // control block — its data pointer never moves after construction) share
   // a read-only line, while the mutex sits on its own line *with* the
-  // cursors it guards — mutex, head_, count_ and closed_ travel together
-  // through every push/pop, so splitting them across lines would just add
-  // coherence misses, and padding the group keeps neighbouring objects
-  // (the shard's BlockingAslMutex, another queue in an array) from sharing
-  // a line with this queue's hottest word.
+  // cursors it guards — mutex, head_, count_, closed_ and spinners_ travel
+  // together through every push/pop, so splitting them across lines would
+  // just add coherence misses, and padding the group keeps neighbouring
+  // objects (the shard's BlockingAslMutex, another queue in an array) from
+  // sharing a line with this queue's hottest word.
   const std::size_t capacity_;
   std::vector<T> ring_;   // ring buffer: [head_, head_ + count_) mod capacity
-  alignas(kCacheLine) mutable std::mutex mutex_;
+  alignas(kCacheLine) std::mutex mutex_;
   std::size_t head_ = 0;  // guarded by mutex_
-  std::size_t count_ = 0;
-  bool closed_ = false;
+  std::atomic<std::size_t> count_{0};  // written under mutex_, read anywhere
+  std::atomic<bool> closed_{false};    // likewise
+  std::atomic<std::uint32_t> spinners_{0};  // poppers inside spin_pop()
   std::condition_variable not_empty_;
 };
 

@@ -1,5 +1,5 @@
 // Platform substrate tests: cache-line geometry, clocks, RNG, thread ids,
-// topology oracle, backoff.
+// topology oracle, backoff, the affinity mask.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "platform/affinity.h"
 #include "platform/cacheline.h"
 #include "platform/raw_spinlock.h"
 #include "platform/rng.h"
@@ -212,6 +213,23 @@ TEST(Topology, DescribeMentionsCounts) {
   EXPECT_NE(desc.find("4 big"), std::string::npos);
   EXPECT_NE(desc.find("4 little"), std::string::npos);
   Topology::instance().configure({});
+}
+
+TEST(Affinity, AllowedCpusIsTheStartupMaskWhateverThreadsPinLater) {
+  // The test's main thread never pins itself, so its mask is the one the
+  // process started with.
+  const std::uint32_t at_start = detail::affinity_cpus();
+  EXPECT_EQ(allowed_cpus(), at_start);
+  std::uint32_t seen_pinned = 0;
+  std::thread pinned([&] {
+    const int cpu = current_cpu();
+    ASSERT_GE(cpu, 0);
+    ASSERT_TRUE(pin_to_cpu(static_cast<std::uint32_t>(cpu)));
+    EXPECT_EQ(detail::affinity_cpus(), 1u) << "the pin narrowed the mask";
+    seen_pinned = allowed_cpus();
+  });
+  pinned.join();
+  EXPECT_EQ(seen_pinned, at_start);
 }
 
 TEST(Backoff, GrowsExponentiallyAndSaturates) {

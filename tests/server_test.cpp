@@ -212,18 +212,25 @@ TEST(BoundedQueueTest, CloseWakesEveryBlockedPopper) {
   EXPECT_EQ(returned_true.load(), 0);
 }
 
-TEST(BoundedQueueTest, ConcurrentProducersAndPoppersDeliverEachValueOnce) {
-  // A small ring keeps producers hitting kFull, so pops free slots while
-  // pushes race for them.
+// Producers and poppers race on a small ring, so producers keep hitting
+// kFull while pops free slots. Each producer pauses every kPauseEvery
+// values, long enough for a spinning popper's budget to run out, so with
+// spin_ns > 0 the poppers mix spinning and parked states: a push whose
+// notify was skipped for a spinner must still reach some popper. Every
+// value must be popped exactly once, and every popper must return after
+// close().
+void deliver_each_value_once(Nanos spin_ns) {
   BoundedQueue<int> queue(8);
   constexpr int kProducers = 3;
   constexpr int kPoppers = 3;
   constexpr int kPerProducer = 5000;
+  constexpr int kPauseEvery = 1000;
   std::atomic<int> shed{0};
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
+        if (i % kPauseEvery == kPauseEvery - 1) sleep_ns(spin_ns + 100'000);
         const int value = p * kPerProducer + i;
         for (;;) {
           const PushResult r = queue.try_push_below(value, queue.capacity());
@@ -237,9 +244,9 @@ TEST(BoundedQueueTest, ConcurrentProducersAndPoppersDeliverEachValueOnce) {
   std::vector<std::vector<int>> popped(kPoppers);
   std::vector<std::thread> poppers;
   for (int c = 0; c < kPoppers; ++c) {
-    poppers.emplace_back([&queue, &mine = popped[c]] {
+    poppers.emplace_back([&queue, &mine = popped[c], spin_ns] {
       int out = 0;
-      while (queue.pop(out)) mine.push_back(out);
+      while (queue.pop(out, spin_ns)) mine.push_back(out);
     });
   }
   for (auto& t : producers) t.join();
@@ -260,6 +267,80 @@ TEST(BoundedQueueTest, ConcurrentProducersAndPoppersDeliverEachValueOnce) {
     ASSERT_EQ(seen[v], 1) << "value " << v << " popped " << seen[v]
                           << " times";
   }
+}
+
+TEST(BoundedQueueTest, ConcurrentProducersAndPoppersDeliverEachValueOnce) {
+  deliver_each_value_once(0);
+}
+
+TEST(BoundedQueueTest, SpinningPoppersWhoseBudgetRunsOutDeliverEachValueOnce) {
+  deliver_each_value_once(20 * kNanosPerMicro);
+}
+
+// A budget no test run reaches: a popper given it never parks, so what it
+// returns came through the spin.
+constexpr Nanos kEndlessSpin = 600 * kNanosPerSec;
+
+TEST(BoundedQueueTest, SpinningPopTakesPushesMadeDuringTheSpinInFifoOrder) {
+  BoundedQueue<int> queue(4);
+  constexpr int kValues = 100;
+  std::atomic<bool> entered{false};
+  std::vector<int> got;
+  std::thread popper([&] {
+    entered.store(true);
+    int out = 0;
+    for (int i = 0; i < kValues; ++i) {
+      if (!queue.pop(out, kEndlessSpin)) return;
+      got.push_back(out);
+    }
+  });
+  while (!entered.load()) std::this_thread::yield();
+  for (int v = 0; v < kValues; ++v) {
+    while (!queue.try_push(v)) std::this_thread::yield();
+  }
+  popper.join();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kValues));
+  for (int v = 0; v < kValues; ++v) EXPECT_EQ(got[v], v) << "FIFO order";
+}
+
+TEST(BoundedQueueTest, CloseEndsASpinAndAClosedQueueStillDrains) {
+  BoundedQueue<int> queue(4);
+  std::atomic<bool> entered{false};
+  std::atomic<int> returned{-1};
+  std::thread popper([&] {
+    entered.store(true);
+    int out = 0;
+    returned.store(queue.pop(out, kEndlessSpin) ? 1 : 0);
+  });
+  while (!entered.load()) std::this_thread::yield();
+  queue.close();
+  popper.join();  // hangs, and so fails under ctest's timeout, if the
+                  // spin ignored close()
+  EXPECT_EQ(returned.load(), 0) << "close() on an empty queue pops nothing";
+
+  BoundedQueue<int> closed(4);
+  EXPECT_TRUE(closed.try_push(1));
+  EXPECT_TRUE(closed.try_push(2));
+  closed.close();
+  int out = 0;
+  EXPECT_TRUE(closed.pop(out, kEndlessSpin));
+  EXPECT_EQ(out, 1);
+  EXPECT_TRUE(closed.pop(out, kEndlessSpin));
+  EXPECT_EQ(out, 2);
+  EXPECT_FALSE(closed.pop(out, kEndlessSpin));
+}
+
+// The ownership rule as a pure function: only a pinned worker of a service
+// with fewer workers than allowed CPUs spins.
+TEST(PopSpinBudget, OnlyAWorkerThatOwnsItsCpuSpins) {
+  EXPECT_EQ(pop_spin_budget(true, 3, 4), kPopSpin)
+      << "3 pinned workers on 4 CPUs leave one for submitters";
+  EXPECT_EQ(pop_spin_budget(true, 8, 4), 0u) << "two workers per CPU";
+  EXPECT_EQ(pop_spin_budget(true, 4, 4), 0u) << "no CPU left for submitters";
+  EXPECT_EQ(pop_spin_budget(false, 3, 4), 0u)
+      << "an unpinned worker, or one whose pin failed, may share its CPU";
+  EXPECT_EQ(pop_spin_budget(true, 1, 1), 0u);
+  EXPECT_EQ(pop_spin_budget(true, 1, 2), kPopSpin);
 }
 
 // ------------------------------------------------- class-aware admission
