@@ -9,19 +9,25 @@ Usage (from anywhere inside the repository):
         --workloads hash_contended --out BENCH_20_traced.json
     python3 scripts/bench_ab.py --selftest
 
-Extracts the committed files of --base and of --head with `git archive`
-into .bench_build/ab/<sha>/, a plain snapshot that registers nothing in
-.git. --head defaults to `git stash create` (the tracked files as they
-stand, staged new files included), or HEAD when nothing is modified, so
-later edits cannot leak into a running campaign. Each side then builds
-itself there through its own perfbench/run.py. For every pair, and for
-every workload within the pair, it runs `perfbench/run.py --trace <0|1>`
-for BENCHMARK.json's run_seconds once per side, flipping which side runs
-first from one pair to the next, and reads each run's last-line JSON and
-its `host` line (nproc, CPU model, steal share).
+Both sides run one benchmark, the change's: BENCHMARK.json and the
+directories its "paths" list (perfbench/) come from the change, every other
+file from the side's own revision, so a change to the benchmark is measured
+on both sides. Each combination is extracted with `git archive` into
+.bench_build/ab/<src sha>-<bench sha>/, a plain snapshot that registers
+nothing in .git and that a later campaign reuses but never modifies.
+--head defaults to `git stash create` (the tracked files as they stand,
+staged new files included), or HEAD when nothing is modified, so later
+edits cannot leak into a running campaign.
+Each side then builds itself there through the benchmark's
+perfbench/run.py. For every pair, and for every workload within the pair,
+it runs `perfbench/run.py --trace <0|1>` for BENCHMARK.json's run_seconds
+once per side, flipping which side runs first from one pair to the next,
+and reads each run's last-line JSON and its `host` line (nproc, CPU model,
+steal share).
 
-The output file holds the host fingerprint, every run (with its steal and
-failed/attempted), and per workload and end-to-end metric of BENCHMARK.json:
+The output file holds the three SHAs (base, head, bench), the host
+fingerprint, every run (with its steal and failed/attempted), and per
+workload and end-to-end metric of BENCHMARK.json:
 each side's median and quartiles (`statistics.quantiles(n=4)`, as
 perfbench/WORKLOADS.md computes spread), the pairs the change won, and a
 verdict against the metric's bound:
@@ -54,6 +60,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -173,19 +180,47 @@ def git(*args):
                           capture_output=True, text=True).stdout.strip()
 
 
-def extract(rev):
-    """The committed files of `rev` under .bench_build/ab/<sha>/."""
-    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
-    dest = AB_DIR / sha
-    if not (dest / "perfbench" / "run.py").is_file():
-        dest.mkdir(parents=True, exist_ok=True)
+def resolve(rev):
+    return git("rev-parse", "--verify", f"{rev}^{{commit}}")
+
+
+def side_trees(base, head):
+    """Per side, the (source, benchmark) revisions of the tree it runs: its
+    own sources under the change's benchmark."""
+    return {"parent": (base, head), "change": (head, head)}
+
+
+def tree_dir(src, bench):
+    """The extraction of one combination, keyed by both SHAs."""
+    return AB_DIR / f"{src}-{bench}"
+
+
+def from_bench(path, bench_paths):
+    """Whether a tree takes `path` from the benchmark's revision rather than
+    from the side's own: BENCHMARK.json and the directories it lists."""
+    return any(path == p or path.startswith(p + "/") for p in bench_paths)
+
+
+def extract(src, bench, bench_paths):
+    """The tree of `src` with `bench`'s benchmark, under tree_dir(); an
+    extraction is finished (and reused as it is) once it holds its stamp."""
+    dest = tree_dir(src, bench)
+    stamp = dest / ".extracted"
+    if stamp.is_file():
+        return dest
+    shutil.rmtree(dest, ignore_errors=True)  # an interrupted extraction
+    dest.mkdir(parents=True)
+    for sha, benchmark in ((src, False), (bench, True)):
         archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", sha],
                                    stdout=subprocess.PIPE)
         with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
-            tar.extractall(dest)
+            for member in tar:
+                if from_bench(member.name, bench_paths) == benchmark:
+                    tar.extract(member, dest)
         if archive.wait() != 0:
             fail(f"git archive {sha} failed")
-    return sha, dest
+    stamp.write_text(f"src {src}\nbench {bench}\n")
+    return dest
 
 
 def run_once(root, workload, seconds, seed, trace):
@@ -229,18 +264,21 @@ def host_fingerprint(runs):
 
 
 def campaign(args):
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    base_sha = resolve(args.base)
+    head_sha = resolve(args.head or git("stash", "create") or "HEAD")
+    trees = side_trees(base_sha, head_sha)
+    bench_sha = trees["change"][1]
+    spec = json.loads(git("show", f"{bench_sha}:BENCHMARK.json"))
+    bench_paths = [*spec["paths"], "BENCHMARK.json"]
     known = [w["name"] for w in spec["workloads"]]
     workloads = args.workloads.split(",") if args.workloads else known
     for w in workloads:
         if w not in known:
             fail(f"unknown workload {w!r} (BENCHMARK.json has {known})")
     seconds = spec["run_seconds"]
-    base_sha, base_root = extract(args.base)
-    head_sha, head_root = extract(args.head or git("stash", "create")
-                                  or "HEAD")
-    roots = {"parent": base_root, "change": head_root}
-    doc = {"base": base_sha, "head": head_sha, "seconds": seconds,
+    roots = {side: extract(*trees[side], bench_paths) for side in trees}
+    doc = {"base": base_sha, "head": head_sha, "bench": bench_sha,
+           "seconds": seconds,
            "seed": args.seed, "trace": args.trace,
            "pairs_requested": args.pairs, "workloads": workloads,
            "complete": False, "runs": []}
@@ -392,6 +430,21 @@ def selftest():
                          'Processor" steal_ticks=12 steal_pct=0.37 seed=1')
     expect(hl is not None and hl.group(3) == "0.37",
            "the kvbench host line parses")
+
+    # Which tree each side runs.
+    expect(side_trees("b", "h") == {"parent": ("b", "h"),
+                                    "change": ("h", "h")},
+           "both sides run the change's benchmark")
+    dirs = {tree_dir(*pair) for pair in (("b", "h"), ("b", "b"), ("h", "h"))}
+    expect(len(dirs) == 3, "an extraction is keyed by both SHAs")
+    paths = ["perfbench", "BENCHMARK.json"]
+    expect(all(from_bench(f, paths) for f in
+               ("perfbench", "perfbench/run.py", "BENCHMARK.json")),
+           "the benchmark's files come from the benchmark's revision")
+    expect(not any(from_bench(f, paths) for f in
+                   ("src/server/request_queue.h", "perfbench_old/run.py",
+                    "scripts/bench_ab.py", "BENCHMARK.json.orig")),
+           "every other file comes from the side's own revision")
     bad = [what for ok, what in checks if not ok]
     for what in bad:
         print(f"selftest FAIL: {what}")

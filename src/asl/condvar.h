@@ -2,7 +2,7 @@
 // thread wait while it holds an AslMutex / BlockingAslMutex (or any other
 // Lockable that is not a pthread mutex). A plain std::mutex needs none of
 // this — wait on a std::condition_variable bound to it, as the shard
-// BoundedQueue does (server/request_queue.h).
+// BoundedQueue's parking lot does (server/request_queue.h).
 //
 // Section 3.3: "the conditional variable is also supported by using the same
 // technique in litl". The litl technique: since the application-visible lock

@@ -134,7 +134,7 @@ void KvService::stop() {
 bool KvService::try_submit(OpType op, std::uint64_t key,
                            std::uint32_t class_index) {
   if (class_index >= core_.num_classes()) return false;
-  return core_.admit(Request{op, key, class_index, now_ns()},
+  return core_.admit(Request{op, class_index, key, now_ns()},
                      shard_of(key)) == TraceDecision::kAdmit;
 }
 

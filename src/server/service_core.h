@@ -69,12 +69,15 @@ inline constexpr std::size_t kMaxBatch = 64;
 // request classes (each of which owns a registered epoch id). A fixed-size
 // value type on purpose: the shard queues are preallocated rings of these,
 // so admission moves 24 bytes and never touches the heap (DESIGN.md §9).
+// The class index sits beside the op so the struct packs to 24 bytes, and a
+// queue cell with its sequence number to 32.
 struct Request {
   OpType op = OpType::kGet;
-  std::uint64_t key = 0;
   std::uint32_t class_index = 0;
+  std::uint64_t key = 0;
   Nanos enqueue_ns = 0;
 };
+static_assert(sizeof(Request) == 24);
 
 // Class-aware admission control (DESIGN.md §6). Under backpressure the
 // bounded shard queues should not degrade every class together: deliberately

@@ -287,8 +287,8 @@ SimServiceReport SimKvService::run(const std::vector<LoadSpec>& load,
     for (const TracePoint& p : generate_trace(spec, horizon)) {
       // Admission is instantaneous in virtual time: the enqueue instant is
       // the scheduled arrival (the wall clock stamps slightly after it).
-      const Request req{p.is_put ? OpType::kPut : OpType::kGet, p.key,
-                        spec.class_index, p.at};
+      const Request req{p.is_put ? OpType::kPut : OpType::kGet,
+                        spec.class_index, p.key, p.at};
       report.offered += 1;
       impl_->eng.at(p.at, [this, req] {
         impl_->arrive(shard_of(req.key), req);
@@ -328,8 +328,8 @@ SimReplayReport SimKvService::replay(const RecordedTrace& trace) {
       rr.skipped += 1;
       continue;
     }
-    const Request req{rec.is_put ? OpType::kPut : OpType::kGet, rec.key,
-                      rec.class_index, rec.at};
+    const Request req{rec.is_put ? OpType::kPut : OpType::kGet,
+                      rec.class_index, rec.key, rec.at};
     rr.report.offered += 1;
     impl_->eng.at(rec.at, [this, req, rec, &rr] {
       // Routing is always recomputed from the key: under the recorded

@@ -90,7 +90,7 @@ TEST(BoundedQueueAlloc, WarmedPushPopCycleIsHeapFree) {
   for (int cycle = 0; cycle < 1000; ++cycle) {
     for (std::uint64_t i = 0; i < 64; ++i) {
       ASSERT_TRUE(
-          queue.try_push(Request{OpType::kPut, i, 0, Nanos{0}}));
+          queue.try_push(Request{OpType::kPut, 0, i, Nanos{0}}));
     }
     for (std::uint64_t i = 0; i < 64; ++i) {
       ASSERT_TRUE(queue.try_pop(out));
@@ -153,7 +153,7 @@ TEST(ServiceCoreAlloc, FullMixedLockFreeBatchIsHeapFree) {
   for (int round = 0; round < 100; ++round) {
     for (std::uint64_t i = 0; i < server::kMaxBatch; ++i) {
       const OpType op = i % 2 == 0 ? OpType::kPut : OpType::kGet;
-      ASSERT_EQ(core.admit(Request{op, i, 0, Nanos{0}}, 0),
+      ASSERT_EQ(core.admit(Request{op, 0, i, Nanos{0}}, 0),
                 server::TraceDecision::kAdmit);
     }
     Request head;

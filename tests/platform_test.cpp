@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <initializer_list>
 #include <set>
 #include <thread>
 #include <vector>
@@ -218,18 +219,46 @@ TEST(Topology, DescribeMentionsCounts) {
 TEST(Affinity, AllowedCpusIsTheStartupMaskWhateverThreadsPinLater) {
   // The test's main thread never pins itself, so its mask is the one the
   // process started with.
-  const std::uint32_t at_start = detail::affinity_cpus();
+  const cpu_set_t start_mask = detail::affinity_mask();
+  const auto at_start = static_cast<std::uint32_t>(CPU_COUNT(&start_mask));
   EXPECT_EQ(allowed_cpus(), at_start);
   std::uint32_t seen_pinned = 0;
   std::thread pinned([&] {
     const int cpu = current_cpu();
     ASSERT_GE(cpu, 0);
     ASSERT_TRUE(pin_to_cpu(static_cast<std::uint32_t>(cpu)));
-    EXPECT_EQ(detail::affinity_cpus(), 1u) << "the pin narrowed the mask";
+    const cpu_set_t pinned_mask = detail::affinity_mask();
+    EXPECT_EQ(CPU_COUNT(&pinned_mask), 1) << "the pin narrowed the mask";
     seen_pinned = allowed_cpus();
   });
   pinned.join();
   EXPECT_EQ(seen_pinned, at_start);
+}
+
+cpu_set_t mask_of(std::initializer_list<std::uint32_t> cpus) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (const std::uint32_t cpu : cpus) CPU_SET(cpu, &set);
+  return set;
+}
+
+std::vector<std::uint32_t> first_six(const cpu_set_t& mask) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t i = 0; i < 6; ++i) out.push_back(nth_cpu_of(mask, i));
+  return out;
+}
+
+// pin_to_cpu_wrapped's mapping as a pure function: an index wraps over the
+// CPUs the mask holds, so a pinned thread never leaves a taskset.
+TEST(Affinity, WrappedIndexStaysInsideTheMask) {
+  using V = std::vector<std::uint32_t>;
+  EXPECT_EQ(first_six(mask_of({0, 1, 2, 3})), (V{0, 1, 2, 3, 0, 1}))
+      << "an unrestricted 4-CPU host maps as cpu % 4";
+  EXPECT_EQ(first_six(mask_of({0, 1})), (V{0, 1, 0, 1, 0, 1}));
+  EXPECT_EQ(first_six(mask_of({2, 3})), (V{2, 3, 2, 3, 2, 3}));
+  EXPECT_EQ(first_six(mask_of({1, 5, 9})), (V{1, 5, 9, 1, 5, 9}))
+      << "a sparse mask";
+  EXPECT_EQ(nth_cpu_of(mask_of({}), 3), 0u) << "an empty mask";
 }
 
 TEST(Backoff, GrowsExponentiallyAndSaturates) {

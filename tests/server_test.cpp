@@ -3,6 +3,8 @@
 // the open-loop generator's conservation laws.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <set>
@@ -101,8 +103,8 @@ TEST(BoundedQueueTest, RejectsWhenFullAndDrainsAfterClose) {
 
 TEST(BoundedQueueTest, CapacityOneAlternatesAndDrainsAfterClose) {
   // The degenerate ring: one slot. Push/pop must alternate cleanly through
-  // the wraparound (head_ cycles over a single index) and close() must keep
-  // the drain contract.
+  // the wraparound (the positions cycle over the slot's two cells) and
+  // close() must keep the drain contract.
   BoundedQueue<int> queue(1);
   EXPECT_EQ(queue.capacity(), 1u);
   for (int i = 0; i < 5; ++i) {
@@ -213,24 +215,26 @@ TEST(BoundedQueueTest, CloseWakesEveryBlockedPopper) {
 }
 
 // Producers and poppers race on a small ring, so producers keep hitting
-// kFull while pops free slots. Each producer pauses every kPauseEvery
-// values, long enough for a spinning popper's budget to run out, so with
-// spin_ns > 0 the poppers mix spinning and parked states: a push whose
-// notify was skipped for a spinner must still reach some popper. Every
-// value must be popped exactly once, and every popper must return after
-// close().
-void deliver_each_value_once(Nanos spin_ns) {
-  BoundedQueue<int> queue(8);
+// kFull while pops free slots; at capacities 1 and 3 a cell wraps while the
+// previous lap's popper is still taking from it. Popper i spins for
+// spins[i] before it parks (0: parks at once). Each producer pauses every
+// kPauseEvery values, long enough for every spinning budget to run out, so
+// the poppers mix spinning and parked states: a push that finds no parked
+// popper must still reach some popper. Every value must be popped exactly
+// once, and every popper must return after close().
+void deliver_each_value_once(std::size_t capacity,
+                             const std::vector<Nanos>& spins) {
+  BoundedQueue<int> queue(capacity);
   constexpr int kProducers = 3;
-  constexpr int kPoppers = 3;
   constexpr int kPerProducer = 5000;
   constexpr int kPauseEvery = 1000;
+  const Nanos pause = *std::max_element(spins.begin(), spins.end()) + 100'000;
   std::atomic<int> shed{0};
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        if (i % kPauseEvery == kPauseEvery - 1) sleep_ns(spin_ns + 100'000);
+        if (i % kPauseEvery == kPauseEvery - 1) sleep_ns(pause);
         const int value = p * kPerProducer + i;
         for (;;) {
           const PushResult r = queue.try_push_below(value, queue.capacity());
@@ -241,10 +245,10 @@ void deliver_each_value_once(Nanos spin_ns) {
       }
     });
   }
-  std::vector<std::vector<int>> popped(kPoppers);
+  std::vector<std::vector<int>> popped(spins.size());
   std::vector<std::thread> poppers;
-  for (int c = 0; c < kPoppers; ++c) {
-    poppers.emplace_back([&queue, &mine = popped[c], spin_ns] {
+  for (std::size_t c = 0; c < spins.size(); ++c) {
+    poppers.emplace_back([&queue, &mine = popped[c], spin_ns = spins[c]] {
       int out = 0;
       while (queue.pop(out, spin_ns)) mine.push_back(out);
     });
@@ -269,12 +273,118 @@ void deliver_each_value_once(Nanos spin_ns) {
   }
 }
 
+constexpr Nanos kShortSpin = 20 * kNanosPerMicro;
+
 TEST(BoundedQueueTest, ConcurrentProducersAndPoppersDeliverEachValueOnce) {
-  deliver_each_value_once(0);
+  deliver_each_value_once(8, {0, 0, 0});
 }
 
 TEST(BoundedQueueTest, SpinningPoppersWhoseBudgetRunsOutDeliverEachValueOnce) {
-  deliver_each_value_once(20 * kNanosPerMicro);
+  deliver_each_value_once(8, {kShortSpin, kShortSpin, kShortSpin});
+}
+
+// The parking lot beside the spin: two poppers park at once, two spin out
+// their budget first.
+TEST(BoundedQueueTest, ParkingAndSpinningPoppersDeliverEachValueOnce) {
+  deliver_each_value_once(8, {0, 0, kShortSpin, kShortSpin});
+}
+
+TEST(BoundedQueueTest, CellsThatWrapMidTakeDeliverEachValueOnce) {
+  deliver_each_value_once(1, {0, kShortSpin, kShortSpin});
+  deliver_each_value_once(3, {0, 0, kShortSpin});
+}
+
+// Admission is exact under racing pushers: into a queue nobody pops, exactly
+// min(limit, capacity) pushes are admitted, and the rest are shed below
+// capacity or refused as full at it.
+TEST(BoundedQueueTest, RacingPushesAdmitExactlyUpToTheLimit) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 50;
+  static constexpr std::size_t kCapacity = 64;
+  const auto race = [](std::size_t limit) {
+    BoundedQueue<int> queue(kCapacity);
+    std::atomic<bool> go{false};
+    std::array<std::atomic<int>, 3> results{};  // indexed by PushResult
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        while (!go.load()) std::this_thread::yield();
+        for (int i = 0; i < kPerProducer; ++i) {
+          const PushResult r = queue.try_push_below(p * kPerProducer + i, limit);
+          results[static_cast<std::size_t>(r)].fetch_add(1);
+        }
+      });
+    }
+    go.store(true);
+    for (auto& t : producers) t.join();
+    EXPECT_EQ(queue.size(), std::min(limit, kCapacity));
+    return std::array<int, 3>{results[0].load(), results[1].load(),
+                              results[2].load()};
+  };
+  constexpr int kPushes = kProducers * kPerProducer;
+  EXPECT_EQ(race(20), (std::array<int, 3>{20, kPushes - 20, 0}))
+      << "{kOk, kShed, kFull} with the limit below capacity";
+  EXPECT_EQ(race(kCapacity),
+            (std::array<int, 3>{static_cast<int>(kCapacity), 0,
+                                kPushes - static_cast<int>(kCapacity)}))
+      << "{kOk, kShed, kFull} with the limit at capacity";
+}
+
+// Pushes race close() while a parking and a spinning popper drain: the
+// values popped are exactly the pushes that returned kOk, and a push that
+// starts after close() has returned gets kFull.
+TEST(BoundedQueueTest, PushesRacingCloseAreServedExactlyWhenAdmitted) {
+  BoundedQueue<int> queue(16);
+  constexpr int kProducers = 3;
+  constexpr int kStride = 10'000'000;  // producer p pushes p * kStride + i
+  std::atomic<bool> close_returned{false};
+  std::atomic<int> admitted_count{0};
+  std::atomic<int> late_pushes_not_full{0};
+  std::vector<std::vector<int>> admitted(kProducers);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kStride; ++i) {
+        const bool late = close_returned.load();
+        const PushResult r =
+            queue.try_push_below(p * kStride + i, queue.capacity());
+        if (r == PushResult::kOk) {
+          admitted[p].push_back(p * kStride + i);
+          admitted_count.fetch_add(1);
+        }
+        if (late) {
+          if (r != PushResult::kFull) late_pushes_not_full.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  const std::vector<Nanos> spins = {0, kShortSpin};
+  std::vector<std::vector<int>> popped(spins.size());
+  std::vector<std::thread> poppers;
+  for (std::size_t c = 0; c < spins.size(); ++c) {
+    poppers.emplace_back([&queue, &mine = popped[c], spin_ns = spins[c]] {
+      int out = 0;
+      while (queue.pop(out, spin_ns)) mine.push_back(out);
+    });
+  }
+  while (admitted_count.load() < 1000) std::this_thread::yield();
+  queue.close();
+  close_returned.store(true);
+  for (auto& t : producers) t.join();
+  for (auto& t : poppers) t.join();
+
+  EXPECT_EQ(late_pushes_not_full.load(), 0)
+      << "a push that starts after close() returned gets kFull";
+  EXPECT_EQ(queue.try_push_below(-1, queue.capacity()), PushResult::kFull);
+  const auto sorted = [](const std::vector<std::vector<int>>& parts) {
+    std::vector<int> all;
+    for (const auto& part : parts) all.insert(all.end(), part.begin(), part.end());
+    std::sort(all.begin(), all.end());
+    return all;
+  };
+  EXPECT_EQ(sorted(popped), sorted(admitted))
+      << "every admitted push is popped once, and nothing else is";
 }
 
 // A budget no test run reaches: a popper given it never parks, so what it
@@ -380,7 +490,7 @@ KvServiceConfig core_config(const char* engine, std::uint32_t batch_k) {
 // Admits `ops` to shard 0 in order; request i has key i, enqueued at 10*i.
 void admit_ops(ServiceCore& core, const std::vector<OpType>& ops) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    ASSERT_EQ(core.admit(Request{ops[i], i, 0, static_cast<Nanos>(10 * i)}, 0),
+    ASSERT_EQ(core.admit(Request{ops[i], 0, i, static_cast<Nanos>(10 * i)}, 0),
               TraceDecision::kAdmit);
   }
 }
@@ -470,7 +580,7 @@ TEST(ServiceCore, ShedCountsAsRejectedAndShedFullAsRejectedOnly) {
   cfg.classes.push_back(RequestClass{"core-loose", 0, AdmissionPolicy{1, 0.5}});
   ServiceCore core(cfg, ServiceCore::Slots::kPerWorker);
   const auto admit = [&core](std::uint32_t c) {
-    return core.admit(Request{kP, 0, c, 0}, 0);
+    return core.admit(Request{kP, c, 0, 0}, 0);
   };
   EXPECT_EQ(admit(1), TraceDecision::kAdmit);
   EXPECT_EQ(admit(1), TraceDecision::kAdmit);
